@@ -51,8 +51,8 @@ chaos:
 # migrate runs the live-migration gates the way CI's chaos job does: the
 # kernel checkpoint/restore and chaos-migrate unit tests, the on-board and
 # cross-board migration differentials (client-visible outcomes identical to
-# an unmigrated control outside the bounded window, bit-exact across shard
-# and worker counts), the mid-transfer abort, the orchestrator directive
+# an unmigrated control outside the bounded window, bit-exact across repeat
+# runs and worker counts), the mid-transfer abort, the orchestrator directive
 # tests, the checkpointable-app contract tests, and a bounded fuzz of the
 # snapshot decoder.
 migrate:
@@ -72,7 +72,7 @@ bench:
 
 # scenario runs the open-loop load-harness gates the way CI's scenario job
 # does: the committed smoke scenario vs its golden fingerprint, the
-# serial-vs-sharded-vs-fleet differential, record/replay equality, and a
+# repeat-run and fleet-worker differential, record/replay equality, and a
 # bounded fuzz of the scenario decoder.
 scenario:
 	$(GO) test -race -count=1 -run 'TestScenarioGolden|TestScenarioDifferential|TestReplayFingerprint' ./internal/load/
@@ -86,5 +86,5 @@ scenario-golden:
 	UPDATE_SCENARIO_GOLDEN=1 $(GO) test -count=1 -run TestScenarioGolden ./internal/load/
 
 clean:
-	rm -f BENCH_NEW.json BENCH_PAR.json cover.out
+	rm -f BENCH_NEW.json BENCH_P1.json cover.out
 	$(GO) clean ./...

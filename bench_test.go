@@ -208,11 +208,10 @@ func BenchmarkEngineIdle(b *testing.B) {
 // benchMeshSaturated measures the per-cycle cost of a WxH mesh kept
 // saturated with random traffic — the activity-driven router's worst case,
 // where no cycles can be skipped and every tick does real switching work.
-// mode selects the tick-phase scheduler; shards is the noc shard count
-// (0 = auto, one row band per core); spanEvery installs the flight recorder
-// at 1-in-N sampling (0 = no recorder).
-func benchMeshSaturated(b *testing.B, w, h int, mode sim.ParallelMode, shards, spanEvery int) {
-	r := newSaturatedRig(b, w, h, mode, shards, spanEvery)
+// spanEvery installs the flight recorder at 1-in-N sampling (0 = no
+// recorder).
+func benchMeshSaturated(b *testing.B, w, h, spanEvery int) {
+	r := newSaturatedRig(b, w, h, spanEvery)
 	r.topUp()
 	b.ResetTimer()
 	r.step(b.N)
@@ -234,12 +233,10 @@ type saturatedRig struct {
 	payload []byte
 }
 
-func newSaturatedRig(tb testing.TB, w, h int, mode sim.ParallelMode, shards, spanEvery int) *saturatedRig {
+func newSaturatedRig(tb testing.TB, w, h, spanEvery int) *saturatedRig {
 	e := sim.NewEngine(7)
-	tb.Cleanup(e.Close)
 	st := sim.NewStats()
-	n := noc.NewNetwork(e, st, noc.Config{Dims: noc.Dims{W: w, H: h}, Shards: shards})
-	e.SetParallel(mode)
+	n := noc.NewNetwork(e, st, noc.Config{Dims: noc.Dims{W: w, H: h}})
 	if spanEvery > 0 {
 		n.SetSpanSampler(obs.NewRecorder(spanEvery, 0))
 	}
@@ -292,7 +289,7 @@ func (r *saturatedRig) step(cycles int) {
 // have reached their high-water marks, a full saturated 8x8 cycle — routing,
 // credit flow, ejection, re-injection — must not touch the heap at all.
 func TestMeshSaturatedAllocs(t *testing.T) {
-	r := newSaturatedRig(t, 8, 8, sim.ParallelOff, 1, 0)
+	r := newSaturatedRig(t, 8, 8, 0)
 	r.step(16384) // reach every pool's high-water mark first
 	if avg := testing.AllocsPerRun(5, func() { r.step(256) }); avg != 0 {
 		t.Fatalf("saturated mesh steady state allocates: %.2f allocs per 256 cycles", avg)
@@ -303,24 +300,17 @@ func TestMeshSaturatedAllocs(t *testing.T) {
 // default (1-in-64 sampling) so the headline per-cycle number includes the
 // observability tax; the Unsampled variant is the A/B baseline.
 func BenchmarkMeshSaturated(b *testing.B) {
-	benchMeshSaturated(b, 4, 4, sim.ParallelAuto, 0, 64)
+	benchMeshSaturated(b, 4, 4, 64)
 }
 
 func BenchmarkMeshSaturatedUnsampled(b *testing.B) {
-	benchMeshSaturated(b, 4, 4, sim.ParallelAuto, 0, 0)
+	benchMeshSaturated(b, 4, 4, 0)
 }
 
-// BenchmarkMeshSaturated16Serial / Parallel are the A/B pair for the sharded
-// tick scheduler on a 16x16 mesh (512 tickers). The parallel variant forces
-// ParallelOn with auto shard count; on a single-core host it degenerates to
-// the serial path (ParallelOn still requires two populated shards), so the
-// speedup is only visible with GOMAXPROCS > 1.
-func BenchmarkMeshSaturated16Serial(b *testing.B) {
-	benchMeshSaturated(b, 16, 16, sim.ParallelOff, 0, 0)
-}
-
-func BenchmarkMeshSaturated16Parallel(b *testing.B) {
-	benchMeshSaturated(b, 16, 16, sim.ParallelOn, 0, 0)
+// BenchmarkMeshSaturated16 scales the saturated workload to a 16x16 mesh
+// (256 routers).
+func BenchmarkMeshSaturated16(b *testing.B) {
+	benchMeshSaturated(b, 16, 16, 0)
 }
 
 // BenchmarkMeshSaturated32 scales the saturated workload to a 32x32 mesh
@@ -328,7 +318,7 @@ func BenchmarkMeshSaturated16Parallel(b *testing.B) {
 // cache behaviour dominates and any per-tile pointer chasing would show up
 // immediately in the per-cycle cost.
 func BenchmarkMeshSaturated32(b *testing.B) {
-	benchMeshSaturated(b, 32, 32, sim.ParallelOff, 0, 0)
+	benchMeshSaturated(b, 32, 32, 0)
 }
 
 func BenchmarkSegmentAlloc(b *testing.B) {
@@ -431,7 +421,6 @@ func newBenchFleet(tb testing.TB, workers, spanEvery int) *cluster.Fleet {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(fl.Close)
 	for i := 0; i < fl.Boards(); i++ {
 		spec := core.AppSpec{
 			Name: "churn",

@@ -9,8 +9,6 @@
 //	apiary-bench -compare old.json new.json
 //	                                # diff two -json files; exit 1 if any
 //	                                # numeric cell moved more than 10%
-//	apiary-bench -parallel on       # force the sharded tick scheduler
-//	                                # (bit-exact; a pure speed knob)
 package main
 
 import (
@@ -22,7 +20,6 @@ import (
 	"time"
 
 	"apiary/internal/bench"
-	"apiary/internal/sim"
 )
 
 // jsonResult is one experiment's table plus its wall-clock runtime, as
@@ -37,20 +34,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	jsonPath := flag.String("json", "", "write results as JSON to this file")
 	compare := flag.String("compare", "", "baseline -json file; compare against the new-results file given as the positional argument")
-	parallel := flag.String("parallel", "auto", "tick-phase scheduler for all engines: auto, on, off (bit-exact either way)")
 	flag.Parse()
-
-	switch *parallel {
-	case "auto":
-		sim.SetDefaultParallel(sim.ParallelAuto)
-	case "on":
-		sim.SetDefaultParallel(sim.ParallelOn)
-	case "off":
-		sim.SetDefaultParallel(sim.ParallelOff)
-	default:
-		fmt.Fprintf(os.Stderr, "apiary-bench: -parallel must be auto, on or off\n")
-		os.Exit(2)
-	}
 
 	if *compare != "" {
 		if flag.NArg() != 1 {

@@ -58,7 +58,6 @@ func main() {
 	board := flag.String("board", "usp-100g", "board name (v7-10g, usp-100g)")
 	w := flag.Int("w", 3, "NoC mesh width")
 	h := flag.Int("h", 3, "NoC mesh height")
-	shards := flag.Int("shards", 0, "parallel tick shards (0 = serial; bit-exact either way)")
 	withNet := flag.Bool("net", false, "install the network service")
 	node := flag.Uint("node", 1, "datacenter-network node id (with -net)")
 	manifestPath := flag.String("manifest", "", "JSON app manifest (object or array)")
@@ -75,14 +74,14 @@ func main() {
 	scnRecord := flag.String("scenario-record", "", "write the scenario's client-visible recording to this file (single-board)")
 	scnReplay := flag.String("scenario-replay", "", "replay arrivals from a recording instead of generating them (single-board)")
 	detect := flag.Bool("detect", false, "enable the monitor watchdogs (heartbeat, credit-leak, protocol-violation)")
-	fleet := flag.Int("fleet", 0, "boot a fleet of N boards instead of one (each board uses -board/-w/-h/-shards)")
+	fleet := flag.Int("fleet", 0, "boot a fleet of N boards instead of one (each board uses -board/-w/-h)")
 	fleetWorkers := flag.Int("fleet-workers", 0, "goroutines ticking fleet boards (0 = GOMAXPROCS; bit-exact at any count)")
 	fleetKill := flag.Int("fleet-kill", -1, "board to kill mid-run (with -fleet)")
 	fleetKillAt := flag.Uint64("fleet-kill-at", 0, "cycle at which -fleet-kill strikes")
 	flag.Parse()
 
 	cfg := core.SystemConfig{
-		Board: *board, Dims: noc.Dims{W: *w, H: *h}, Shards: *shards, Seed: *seed,
+		Board: *board, Dims: noc.Dims{W: *w, H: *h}, Seed: *seed,
 		WithNet: *withNet, NodeID: netsim.NodeID(*node),
 		SpanSampleEvery: *spanEvery, SpanCap: *spanCap,
 		WindowCycles: sim.Cycle(*windowEvery), WindowKeep: *windowKeep,
@@ -178,75 +177,7 @@ func main() {
 
 	var mu sync.Mutex // guards the engine and everything hanging off it
 	if *httpAddr != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/stats", func(rw http.ResponseWriter, _ *http.Request) {
-			mu.Lock()
-			defer mu.Unlock()
-			fmt.Fprintf(rw, "cycle %d\n%s", sys.Engine.Now(), sys.Stats.String())
-		})
-		mux.HandleFunc("/procs", func(rw http.ResponseWriter, _ *http.Request) {
-			mu.Lock()
-			defer mu.Unlock()
-			for _, p := range sys.Kernel.Procs() {
-				fmt.Fprintf(rw, "%-12s %-12s tile=%d ctx=%d state=%s\n",
-					p.App, p.Accel, p.Tile, p.Ctx, sys.Kernel.Shell(p.Tile).State())
-			}
-		})
-		mux.HandleFunc("/matrix", func(rw http.ResponseWriter, _ *http.Request) {
-			mu.Lock()
-			defer mu.Unlock()
-			fmt.Fprint(rw, sys.Tracer.MatrixString())
-		})
-		mux.HandleFunc("/trace.json", func(rw http.ResponseWriter, _ *http.Request) {
-			mu.Lock()
-			defer mu.Unlock()
-			rw.Header().Set("Content-Type", "application/json")
-			_ = sys.Tracer.ExportChrome(rw, float64(sys.Engine.ClockMHz())/1000)
-		})
-		mux.HandleFunc("/metrics", func(rw http.ResponseWriter, _ *http.Request) {
-			mu.Lock()
-			defer mu.Unlock()
-			rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			obs.WriteProm(rw, sys.Engine.Now(), sys.Engine.ClockMHz(),
-				sys.Stats, sys.Windows, sys.Obs, healthDir(sys.Kernel))
-		})
-		mux.HandleFunc("/services", func(rw http.ResponseWriter, _ *http.Request) {
-			mu.Lock()
-			defer mu.Unlock()
-			writeServices(rw, sys)
-		})
-		mux.HandleFunc("/spans.json", func(rw http.ResponseWriter, _ *http.Request) {
-			mu.Lock()
-			defer mu.Unlock()
-			rw.Header().Set("Content-Type", "application/json")
-			_ = obs.ExportChromeSpans(rw, sys.Obs.Entries(), float64(sys.Engine.ClockMHz()))
-		})
-		mux.HandleFunc("/events.json", func(rw http.ResponseWriter, _ *http.Request) {
-			mu.Lock()
-			defer mu.Unlock()
-			rw.Header().Set("Content-Type", "application/json")
-			_ = obs.WriteEventsJSON(rw, sys.Events.Events())
-		})
-		mux.HandleFunc("/heatmap", func(rw http.ResponseWriter, r *http.Request) {
-			mu.Lock()
-			defer mu.Unlock()
-			if r.URL.Query().Get("format") == "json" {
-				rw.Header().Set("Content-Type", "application/json")
-				_ = obs.WriteHeatmapJSON(rw, sys.Noc, sys.Windows.Latest(),
-					sys.Kernel.QuarantinedTiles(), sys.Kernel.DegradedTiles())
-				return
-			}
-			obs.WriteHeatmap(rw, sys.Noc, sys.Windows.Latest(),
-				sys.Kernel.QuarantinedTiles(), sys.Kernel.DegradedTiles())
-		})
-		if br != nil {
-			mux.HandleFunc("/scenario.json", func(rw http.ResponseWriter, _ *http.Request) {
-				mu.Lock()
-				defer mu.Unlock()
-				rw.Header().Set("Content-Type", "application/json")
-				_ = json.NewEncoder(rw).Encode(br.Status())
-			})
-		}
+		mux := boardMux(sys, br, &mu)
 		go func() {
 			log.Printf("apiaryd: serving stats on %s", *httpAddr)
 			log.Fatal(http.ListenAndServe(*httpAddr, mux))
@@ -364,6 +295,81 @@ func printScenarioReport(scn *load.Scenario, reps []load.PhaseReport, fp uint64)
 	fmt.Printf("scenario fingerprint: 0x%016x\n", fp)
 }
 
+// boardMux builds the single-board HTTP surface. Every handler holds mu,
+// which the run loop holds while it advances the engine.
+func boardMux(sys *core.System, br *load.BoardRun, mu *sync.Mutex) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/stats", func(rw http.ResponseWriter, _ *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(rw, "cycle %d\n%s", sys.Engine.Now(), sys.Stats.String())
+	})
+	mux.HandleFunc("/procs", func(rw http.ResponseWriter, _ *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, p := range sys.Kernel.Procs() {
+			fmt.Fprintf(rw, "%-12s %-12s tile=%d ctx=%d state=%s\n",
+				p.App, p.Accel, p.Tile, p.Ctx, sys.Kernel.Shell(p.Tile).State())
+		}
+	})
+	mux.HandleFunc("/matrix", func(rw http.ResponseWriter, _ *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprint(rw, sys.Tracer.MatrixString())
+	})
+	mux.HandleFunc("/trace.json", func(rw http.ResponseWriter, _ *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		rw.Header().Set("Content-Type", "application/json")
+		_ = sys.Tracer.ExportChrome(rw, float64(sys.Engine.ClockMHz()))
+	})
+	mux.HandleFunc("/metrics", func(rw http.ResponseWriter, _ *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		obs.WriteProm(rw, sys.Engine.Now(), sys.Engine.ClockMHz(),
+			sys.Stats, sys.Windows, sys.Obs, healthDir(sys.Kernel))
+	})
+	mux.HandleFunc("/services", func(rw http.ResponseWriter, _ *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		writeServices(rw, sys)
+	})
+	mux.HandleFunc("/spans.json", func(rw http.ResponseWriter, _ *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		rw.Header().Set("Content-Type", "application/json")
+		_ = obs.ExportChromeSpans(rw, sys.Obs.Entries(), float64(sys.Engine.ClockMHz()))
+	})
+	mux.HandleFunc("/events.json", func(rw http.ResponseWriter, _ *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		rw.Header().Set("Content-Type", "application/json")
+		_ = obs.WriteEventsJSON(rw, sys.Events.Events())
+	})
+	mux.HandleFunc("/heatmap", func(rw http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		if r.URL.Query().Get("format") == "json" {
+			rw.Header().Set("Content-Type", "application/json")
+			_ = obs.WriteHeatmapJSON(rw, sys.Noc, sys.Windows.Latest(),
+				sys.Kernel.QuarantinedTiles(), sys.Kernel.DegradedTiles())
+			return
+		}
+		obs.WriteHeatmap(rw, sys.Noc, sys.Windows.Latest(),
+			sys.Kernel.QuarantinedTiles(), sys.Kernel.DegradedTiles())
+	})
+	if br != nil {
+		mux.HandleFunc("/scenario.json", func(rw http.ResponseWriter, _ *http.Request) {
+			mu.Lock()
+			defer mu.Unlock()
+			rw.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(rw).Encode(br.Status())
+		})
+	}
+	return mux
+}
+
 // runFleet boots a -fleet N cluster and runs it. With a manifest, the
 // orchestrator places each app on the least-loaded board; without one, it
 // runs the demo workload — a replicated echo service spanning two boards
@@ -400,7 +406,6 @@ func runFleet(board core.SystemConfig, boards, workers int, manifestPath string,
 			log.Fatalf("apiaryd: fleet boot: %v", err)
 		}
 	}
-	defer fl.Close()
 	log.Printf("apiaryd: fleet of %d boards, epoch (lookahead) = %d cycles", fl.Boards(), fl.Epoch())
 
 	var clients []*apps.Requester

@@ -94,27 +94,6 @@ type Idler interface {
 	Idle() bool
 }
 
-// TileLocal is a marker interface for accelerators whose Tick touches only
-// tile-local state: its own fields plus the Port (whose monitor/NI path is
-// tile-local until the staged NoC commit). Such accelerators are safe to
-// tick on their tile's shard during the engine's parallel tick phase
-// (sim.ShardTicker); the shell of a TileLocal accelerator reports the
-// tile's shard affinity instead of forcing the engine serial.
-//
-// Do NOT mark an accelerator TileLocal if its Tick reads or writes anything
-// shared across tiles: an injected channel or histogram, the engine's
-// RNG or event queue (sim.Engine.Schedule), package-level state, or another
-// tile's accelerator. The engine cannot verify the claim; a wrong marker
-// trades determinism for speed, which is exactly backwards.
-type TileLocal interface {
-	tileLocal()
-}
-
-// TileLocalMarker can be embedded to implement TileLocal.
-type TileLocalMarker struct{}
-
-func (TileLocalMarker) tileLocal() {}
-
 // Checkpointable is implemented by accelerators that externalize
 // per-context architectural state for checkpoint/restore. A quiescent
 // checkpointable accelerator can be serialized, torn down, and reinstated
@@ -124,7 +103,7 @@ func (TileLocalMarker) tileLocal() {}
 type Checkpointable interface {
 	// SaveContext serializes one context's state. The encoding must be
 	// deterministic (sorted iteration over any map state) so snapshots are
-	// bit-exact across serial and sharded runs.
+	// bit-exact across runs.
 	SaveContext(ctx uint8) ([]byte, error)
 	// RestoreContext reinstates previously saved state. It must validate
 	// bounds before mutating anything: a malformed blob returns an error
@@ -205,8 +184,6 @@ type SendFunc func(m *msg.Message) msg.ErrCode
 // StatsUser is optionally implemented by accelerators that export their own
 // counters. The kernel calls AttachStats when placing the accelerator, so
 // manifest-built logic surfaces in /metrics without constructor plumbing.
-// Counters obtained from the stats table are atomic and safe to increment
-// from a sharded tick.
 type StatsUser interface {
 	AttachStats(st *sim.Stats)
 }
@@ -256,17 +233,13 @@ type Shell struct {
 	babbleUntil sim.Cycle
 	babbleSvc   msg.ServiceID
 	babbleSeq   uint32
-
-	// shard is the tile's shard affinity, set by the monitor when the shell
-	// is attached to a tile; -1 (the default) keeps the shell opaque.
-	shard int
 }
 
 // Blank is the power-on placeholder occupying a shell before any
 // application logic is configured into its region: one context, no
 // behavior, always idle. Tiles boot with a Blank-wrapped shell parked in
 // Stopped state; placement swaps real logic in with Adopt.
-type Blank struct{ TileLocalMarker }
+type Blank struct{}
 
 // Name identifies the placeholder.
 func (Blank) Name() string { return "blank" }
@@ -297,44 +270,7 @@ func NewShell(acc Accelerator, st *sim.Stats) *Shell {
 		faultCount: st.Counter("shell.faults"),
 		shedCount:  st.Counter("shell.shed"),
 		qcap:       InQDepth,
-		shard:      -1,
 	}
-}
-
-// SetShard records the tile's shard affinity (the monitor calls this when
-// attaching the shell to a tile's NI). It only takes effect for TileLocal
-// accelerators — see Shard.
-func (s *Shell) SetShard(idx int) { s.shard = idx }
-
-// Shard implements sim.ShardTicker: the tile's shard index when the wrapped
-// accelerator is marked TileLocal and the shell has been attached to a
-// tile, -1 (opaque, forcing the engine serial) otherwise. Counters the
-// shell touches during Tick (delivered/dropped/faults) are shared by name
-// across tiles but atomic, so sharded ticking keeps them exact.
-func (s *Shell) Shard() int {
-	if !IsTileLocal(s.acc) {
-		return -1
-	}
-	return s.shard
-}
-
-// IsTileLocal reports whether a carries the TileLocal marker, looking
-// through wrappers (fault injectors, instrumentation) that expose their
-// inner accelerator via an Unwrap method. A wrapper that adds only
-// tile-local behaviour of its own should implement Unwrap rather than embed
-// the marker, so its locality tracks whatever it wraps.
-func IsTileLocal(a Accelerator) bool {
-	for a != nil {
-		if _, ok := a.(TileLocal); ok {
-			return true
-		}
-		w, ok := a.(interface{ Unwrap() Accelerator })
-		if !ok {
-			return false
-		}
-		a = w.Unwrap()
-	}
-	return false
 }
 
 // Bind installs the monitor's egress and fault hooks.

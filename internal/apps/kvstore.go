@@ -19,8 +19,6 @@ import (
 // Request payload:  op(1) klen(2) key vlen(2) value
 // Reply payload:    status(1) [value]      status: 0 ok, 1 not-found
 type KVStore struct {
-	accel.TileLocalMarker // pure Port user: safe on the tile's shard
-
 	tenants []map[string]string
 	busyTil sim.Cycle
 	out     outQ

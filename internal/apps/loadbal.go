@@ -19,8 +19,6 @@ import (
 // before the error ever reaches the client. Static restores the historical
 // blind round-robin.
 type LoadBalancer struct {
-	accel.TileLocalMarker // pure Port user: safe on the tile's shard
-
 	// Static disables health and load awareness: blind round-robin, no
 	// ejection, no reroutes (manifest knob health="static").
 	Static bool
@@ -402,11 +400,6 @@ type Faulty struct {
 func NewFaulty(a accel.Accelerator, panicAfter int) *Faulty {
 	return &Faulty{Accelerator: a, PanicAfter: panicAfter}
 }
-
-// Unwrap exposes the wrapped accelerator so accel.IsTileLocal can look
-// through the fault injector: Faulty's own behaviour (counting, panicking)
-// is tile-local, so its shard safety is exactly its victim's.
-func (f *Faulty) Unwrap() accel.Accelerator { return f.Accelerator }
 
 // faultyPort counts Recv results so the wrapper knows when to blow up.
 type faultyPort struct {

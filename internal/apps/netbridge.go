@@ -15,9 +15,6 @@ import (
 // to another on-board service (Target set), composing with the rest of the
 // application.
 type NetBridge struct {
-	accel.TileLocalMarker // pure Port user: safe on the tile's shard
-	// (Process, like Stage's, must be a pure function of its input.)
-
 	// Flow is the network flow to listen on.
 	Flow uint16
 	// Target, when nonzero, receives a TRequest per datagram.

@@ -19,8 +19,6 @@ import (
 // Wire format on the network flow: [seq u32][payload]; the remote service
 // echoes the seq with its reply.
 type RemoteProxy struct {
-	accel.TileLocalMarker // pure Port user: safe on the tile's shard
-
 	// Remote is the CPU service's network address.
 	Remote msg.NetAddr
 	// Resolve, when set, is consulted per forwarded request instead of
@@ -45,12 +43,10 @@ type RemoteProxy struct {
 	// wiring derives it from board and service identity).
 	TraceSalt uint64
 
-	// ForwardedC, when set, mirrors Forwarded into a stats counter
-	// (tick-phase safe: sim.Counter is atomic).
+	// ForwardedC, when set, mirrors Forwarded into a stats counter.
 	ForwardedC *sim.Counter
-	// Lat, when set, observes request→reply round-trip cycles. Histogram is
-	// normally commit-phase only; this one is a documented exception: it is
-	// EXCLUSIVE to this proxy (one writer, the tile's shard worker), so
+	// Lat, when set, observes request→reply round-trip cycles. It is
+	// EXCLUSIVE to this proxy (one writer, the proxy's own tick), so
 	// observation order equals the tile's deterministic event order, and
 	// readers only look at epoch barriers where the cluster's WaitGroup edge
 	// orders the memory — race-free and order-deterministic.

@@ -11,12 +11,6 @@ import (
 // Requester is the synthetic closed/open-loop client accelerator used by
 // experiments: it issues requests to a target service at a configured gap,
 // matches replies by sequence number and records end-to-end latency.
-//
-// Requester is deliberately NOT marked accel.TileLocal: it Observes an
-// injected, possibly shared latency Histogram during Tick and runs a
-// caller-supplied Payload closure, both of which may reach beyond the tile.
-// A board hosting a Requester therefore ticks serially — experiments
-// measure latency distributions, where that is the right trade.
 type Requester struct {
 	Target msg.ServiceID
 	// Payload generates the i-th request body.
@@ -284,7 +278,7 @@ func (r *Requester) Tick(p accel.Port) {
 	// Expired sequences are collected and sorted before retransmission so
 	// the resend order never depends on map iteration order — retransmits
 	// enter the NoC, and a nondeterministic order there would break the
-	// serial-vs-parallel bit-exactness the chaos tests assert.
+	// run-to-run bit-exactness the chaos tests assert.
 	if r.TimeoutCycles > 0 && r.inFlight > 0 && now%512 == 0 {
 		var expired []uint32
 		for seq, at := range r.sentAt {

@@ -16,10 +16,8 @@ type ProcessFunc func(in []byte) (out []byte, code msg.ErrCode)
 // StageConfig parameterizes a Stage accelerator.
 type StageConfig struct {
 	Name string
-	// Process is the stage's kernel. Stage is marked accel.TileLocal, so
-	// Process must be a pure function of its input (the stock stages all
-	// are); a closure over shared mutable state would break the sharded
-	// tick contract.
+	// Process is the stage's kernel: a pure function of its input (the
+	// stock stages all are).
 	Process ProcessFunc
 	// Next, when nonzero, forwards the processed output as a new request
 	// to another service (pipeline composition, paper §2); the downstream
@@ -80,8 +78,6 @@ func (q *outQ) flush(p accel.Port) {
 // reply or forward. It is the workhorse behind the encoder, compressor,
 // checksum and matvec accelerators.
 type Stage struct {
-	accel.TileLocalMarker // pure Port user: safe on the tile's shard
-
 	cfg     StageConfig
 	busyTil sim.Cycle
 	nextSeq uint32

@@ -142,6 +142,6 @@ func E16BlastRadius() Result {
 	r.AddRow("  victim retransmits", d(vClient.Retransmits()), "", "", "", "", "")
 	r.AddRow("  healthy p99 delta during fault", fmt.Sprintf("%+.1f%%", degrade), "", "", "", "", "")
 	r.Note("healthy p99 pre=%.1f during=%.1f post=%.1f cycles: the fenced tile's fault never leaves its tile — neighbours see noise, not an outage", preP99, duringP99, postP99)
-	r.Note("deterministic: same seed, same plan => bit-identical run at any shard count (see internal/fault chaos tests)")
+	r.Note("deterministic: same seed, same plan => bit-identical run every time (see internal/fault chaos tests)")
 	return r
 }

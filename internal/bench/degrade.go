@@ -218,6 +218,6 @@ func E17Degrade() Result {
 	r.AddRow("  client retransmits", d(client.Retransmits()), "", "", "", "", "")
 	r.Note("failover: goodput in the quarantine window %.2f/kcy vs %.2f/kcy steady state (%.0f%%); zero requests lost — %d/%d answered, %d errors",
 		winRate, preRate, winRate/preRate*100, client.Responses(), total, client.Errors())
-	r.Note("deterministic: same seed, same plan => bit-identical run at any shard count (see internal/core failover tests)")
+	r.Note("deterministic: same seed, same plan => bit-identical run every time (see internal/core failover tests)")
 	return r
 }

@@ -28,12 +28,10 @@ type expressRunOut struct {
 
 func expressRun(gap int, horizon sim.Cycle, noExpress bool) expressRunOut {
 	e := sim.NewEngine(18)
-	defer e.Close()
 	st := sim.NewStats()
 	n := noc.NewNetwork(e, st, noc.Config{
-		Dims: noc.Dims{W: 8, H: 8}, Shards: 1, NoExpress: noExpress,
+		Dims: noc.Dims{W: 8, H: 8}, NoExpress: noExpress,
 	})
-	e.SetParallel(sim.ParallelOff)
 	tiles := n.Dims().Tiles()
 	for i := 0; i < tiles; i++ {
 		n.NI(msg.TileID(i)).SetDeliver(func(*msg.Message, sim.Cycle) {})
@@ -68,16 +66,14 @@ func expressRun(gap int, horizon sim.Cycle, noExpress bool) expressRunOut {
 }
 
 // expressSaturated runs the saturated-mesh workload the microbenchmarks
-// track (BenchmarkMeshSaturated16Serial/32) for a fixed cycle count and
+// track (BenchmarkMeshSaturated16/32) for a fixed cycle count and
 // reports its deterministic counters, bringing the saturated hot path under
 // the -compare trajectory gate. ns/cycle is host wall-clock and excluded
 // from comparison.
 func expressSaturated(w, h int, cycles int) expressRunOut {
 	e := sim.NewEngine(7)
-	defer e.Close()
 	st := sim.NewStats()
 	n := noc.NewNetwork(e, st, noc.Config{Dims: noc.Dims{W: w, H: h}})
-	e.SetParallel(sim.ParallelOff)
 	tiles := w * h
 	free := make([]*msg.Message, 0, tiles*8)
 	for t := 0; t < tiles; t++ {

@@ -39,7 +39,6 @@ func e19Fleet(replicas int) (*cluster.Fleet, []cluster.Endpoint, error) {
 		Spec: e19ReplicaSpec,
 	})
 	if err != nil {
-		fl.Close()
 		return nil, nil, err
 	}
 	return fl, eps, nil
@@ -114,14 +113,12 @@ func E19Fleet() Result {
 		})
 		if err != nil {
 			r.Note("local client load failed: %v", err)
-			fl.Close()
 			return r
 		}
 		fl.RunUntil(req.Done, 400_000)
 		r.AddRow("intra-board", d(fl.Boards()), d(total), d(req.Responses()),
 			d(req.Errors()), u(uint64(fl.Now())), u(fl.Orchestrator().Failovers()),
 			u(fl.Relayed()), u(fl.DroppedToDead()))
-		fl.Close()
 	}
 
 	// Cross-board RPC: client on another board, through the proxy + bridge.
@@ -134,14 +131,12 @@ func E19Fleet() Result {
 		req := e19Client(total)
 		if err := e19Attach(fl, eps, req); err != nil {
 			r.Note("remote client attach failed: %v", err)
-			fl.Close()
 			return r
 		}
 		fl.RunUntil(req.Done, 400_000)
 		r.AddRow("cross-board", d(fl.Boards()), d(total), d(req.Responses()),
 			d(req.Errors()), u(uint64(fl.Now())), u(fl.Orchestrator().Failovers()),
 			u(fl.Relayed()), u(fl.DroppedToDead()))
-		fl.Close()
 	}
 
 	// Whole-board kill: two replicas on distinct boards; the primary's board
@@ -155,7 +150,6 @@ func E19Fleet() Result {
 		req := e19Client(total)
 		if err := e19Attach(fl, eps, req); err != nil {
 			r.Note("remote client attach failed: %v", err)
-			fl.Close()
 			return r
 		}
 		fl.KillBoardAt(eps[0].Board, 1500)
@@ -165,7 +159,6 @@ func E19Fleet() Result {
 			u(fl.Relayed()), u(fl.DroppedToDead()))
 		r.Note("epoch (lookahead) = %d cycles; board %d killed at cycle 1500, detection after %d epochs",
 			fl.Epoch(), eps[0].Board, 2)
-		fl.Close()
 	}
 
 	r.Note("cross-board RPC pays 2 cluster traversals (request + reply), each >= 1 epoch")

@@ -29,12 +29,10 @@ func e20Run(spanEvery, total int) (*cluster.Fleet, *clientOutcome, error) {
 		Spec: e19ReplicaSpec,
 	})
 	if err != nil {
-		fl.Close()
 		return nil, nil, err
 	}
 	req := e19Client(total)
 	if err := e19Attach(fl, eps, req); err != nil {
-		fl.Close()
 		return nil, nil, err
 	}
 	fl.RunUntil(req.Done, 800_000)
@@ -90,7 +88,6 @@ func E20FleetObs() Result {
 		} else if cy != baseCy || frames != baseFrames || p50 != baseP50 || p99 != baseP99 {
 			r.Note("DETERMINISM VIOLATION at %s: simulated results differ from tracing-off run", cfg.label)
 		}
-		fl.Close()
 	}
 	r.Note("trace contexts ride sideband on frames: wire bytes and timing are identical at every rate")
 	r.Note("wall-clock tax of 1-in-64 sampling: see BenchmarkFleet16 (sampled) vs BenchmarkFleet16Unsampled")

@@ -110,7 +110,6 @@ func E21Load() Result {
 			r.Note("fleet rate %d kill=%v: %v", rate, kill, err)
 			return
 		}
-		defer fr.Close()
 		fr.RunScenario(e21Drain)
 		e21Row(&r, fmt.Sprintf("fleet16-r%d%s", rate, label), fr.Report()[0])
 	}

@@ -101,7 +101,6 @@ func E22Migrate() Result {
 			r.Note("fleet%s: %v", label, err)
 			return
 		}
-		defer fr.Close()
 		fr.RunScenario(e22Drain)
 		e22Row(&r, "fleet"+label, fr.Report())
 	}

@@ -14,10 +14,8 @@ import (
 // recorder accounting and wall-clock cost.
 func obsRun(every int) (sent, delivered uint64, rec *obs.Recorder, histP99 float64, nsPerCycle float64) {
 	e := sim.NewEngine(21)
-	defer e.Close()
 	st := sim.NewStats()
-	n := noc.NewNetwork(e, st, noc.Config{Dims: noc.Dims{W: 8, H: 8}, Shards: 1})
-	e.SetParallel(sim.ParallelOff)
+	n := noc.NewNetwork(e, st, noc.Config{Dims: noc.Dims{W: 8, H: 8}})
 	if every > 0 {
 		rec = obs.NewRecorder(every, 8192)
 		n.SetSpanSampler(rec)

@@ -11,9 +11,9 @@
 // frame, and a cross-board frame pays at least the cross-board propagation
 // latency L before it can be observed at the destination. That latency is
 // the lookahead: the fleet advances in epochs of L cycles, every board
-// free-running (idle-skip, express bypass and the sharded tick scheduler
-// all still apply inside the board) from one epoch boundary to the next
-// with no synchronization at all. Frames produced during an epoch are
+// free-running (idle-skip and the express bypass still apply inside the
+// board) from one epoch boundary to the next with no synchronization at
+// all. Frames produced during an epoch are
 // staged in per-board outboxes and exchanged only at the barrier, where the
 // coordinator applies them to destination engines in deterministic
 // (source board ID, send order) order. Every frame's arrival cycle is
@@ -50,12 +50,12 @@ type Config struct {
 	Boards int
 	// Workers is how many goroutines tick boards concurrently. 0 means
 	// GOMAXPROCS. A fleet run is bit-exact at any worker count — Workers
-	// is a pure speedup knob, like sim.ParallelMode one level down.
+	// is a pure speedup knob and the simulator's only host parallelism.
 	Workers int
 	// Seed is the fleet master seed; each board's engine seed and fabric
 	// loss seed are derived from it, so boards never share RNG streams.
 	Seed uint64
-	// Board is the per-board template (mesh dims, shards, detectors,
+	// Board is the per-board template (mesh dims, detectors,
 	// span sampling, ...). Seed, NodeID, WithNet, ExtFabric, NetSeed and
 	// LinkLatencyNs are overridden per board by the fleet.
 	Board core.SystemConfig
@@ -418,11 +418,4 @@ func (f *Fleet) RunUntil(cond func() bool, budget sim.Cycle) bool {
 		budget -= step
 	}
 	return cond()
-}
-
-// Close releases every board's worker pool.
-func (f *Fleet) Close() {
-	for _, b := range f.boards {
-		b.Sys.Engine.Close()
-	}
 }

@@ -19,14 +19,13 @@ const (
 	kvFlow   = uint16(7)
 )
 
-func fleetCfg(boards int, seed uint64, shards, workers int) Config {
+func fleetCfg(boards int, seed uint64, workers int) Config {
 	return Config{
 		Boards:  boards,
 		Workers: workers,
 		Seed:    seed,
 		Board: core.SystemConfig{
-			Dims:   noc.Dims{W: 3, H: 3},
-			Shards: shards,
+			Dims: noc.Dims{W: 3, H: 3},
 			// The DRAM model stores real bytes; the default 64 MiB window
 			// times 16 boards is pure construction cost for tests that
 			// never touch memory.
@@ -108,13 +107,12 @@ func fingerprint(fl *Fleet, reqs []*apps.Requester) string {
 
 // runFleet boots a 16-board fleet, deploys the kv service with 2 replicas,
 // attaches 4 client boards, runs to completion and returns the fingerprint.
-func runFleet(t *testing.T, seed uint64, shards, workers int) string {
+func runFleet(t *testing.T, seed uint64, workers int) string {
 	t.Helper()
-	fl, err := New(fleetCfg(16, seed, shards, workers))
+	fl, err := New(fleetCfg(16, seed, workers))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer fl.Close()
 	if _, err := fl.Orchestrator().DeployService(kvDeployment(2)); err != nil {
 		t.Fatalf("DeployService: %v", err)
 	}
@@ -131,7 +129,7 @@ func runFleet(t *testing.T, seed uint64, shards, workers int) string {
 		return true
 	}
 	if !fl.RunUntil(done, 400_000) {
-		t.Fatalf("seed=%d shards=%d workers=%d: clients not done by budget", seed, shards, workers)
+		t.Fatalf("seed=%d workers=%d: clients not done by budget", seed, workers)
 	}
 	for i, r := range reqs {
 		if r.Responses() != 5 || r.Errors() != 0 {
@@ -146,21 +144,15 @@ func runFleet(t *testing.T, seed uint64, shards, workers int) string {
 
 // TestFleetDifferential is the fleet determinism gate: a 16-board fleet is
 // bit-exact — counters, histograms, sampled span timings, client outcomes —
-// between a 1-worker run and a many-worker run, across seeds and board
-// shard counts. Goroutine scheduling must be invisible.
+// between a 1-worker run and a many-worker run, across seeds. Goroutine
+// scheduling must be invisible.
 func TestFleetDifferential(t *testing.T) {
-	for _, tc := range []struct {
-		seed   uint64
-		shards int
-	}{
-		{seed: 1, shards: 0},
-		{seed: 99, shards: 3},
-	} {
-		serial := runFleet(t, tc.seed, tc.shards, 1)
-		parallel := runFleet(t, tc.seed, tc.shards, 4)
+	for _, seed := range []uint64{1, 99} {
+		serial := runFleet(t, seed, 1)
+		parallel := runFleet(t, seed, 4)
 		if serial != parallel {
-			t.Errorf("seed=%d shards=%d: workers=1 and workers=4 fleets diverged\n--- serial ---\n%s\n--- parallel ---\n%s",
-				tc.seed, tc.shards, firstDiff(serial, parallel), firstDiff(parallel, serial))
+			t.Errorf("seed=%d: workers=1 and workers=4 fleets diverged\n--- serial ---\n%s\n--- parallel ---\n%s",
+				seed, firstDiff(serial, parallel), firstDiff(parallel, serial))
 		}
 	}
 }
@@ -186,11 +178,10 @@ func firstDiff(s, other string) string {
 // TestFleetEpochLookahead pins the epoch computation: 1000 ns each way at
 // the default 250 MHz clock is 500 cycles of lookahead.
 func TestFleetEpochLookahead(t *testing.T) {
-	fl, err := New(fleetCfg(2, 1, 0, 1))
+	fl, err := New(fleetCfg(2, 1, 1))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer fl.Close()
 	if fl.Epoch() != 500 {
 		t.Fatalf("epoch = %d, want 500", fl.Epoch())
 	}
@@ -208,11 +199,10 @@ func TestFleetEpochLookahead(t *testing.T) {
 // delay and resilient clients finish every request through the surviving
 // replica.
 func TestFleetFailover(t *testing.T) {
-	fl, err := New(fleetCfg(6, 7, 0, 2))
+	fl, err := New(fleetCfg(6, 7, 2))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer fl.Close()
 	eps, err := fl.Orchestrator().DeployService(kvDeployment(2))
 	if err != nil {
 		t.Fatalf("DeployService: %v", err)
@@ -251,13 +241,12 @@ func TestFleetFailover(t *testing.T) {
 // TestFleetCrossBoardLoss drops a fraction of cluster frames; the reliable
 // transport retransmits and clients still finish.
 func TestFleetCrossBoardLoss(t *testing.T) {
-	cfg := fleetCfg(4, 11, 0, 2)
+	cfg := fleetCfg(4, 11, 2)
 	cfg.Link.LossProb = 0.2
 	fl, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer fl.Close()
 	if _, err := fl.Orchestrator().DeployService(kvDeployment(1)); err != nil {
 		t.Fatalf("DeployService: %v", err)
 	}
@@ -276,11 +265,10 @@ func TestFleetCrossBoardLoss(t *testing.T) {
 // TestOrchestratorSpread checks the load balancer: equal boards receive
 // successive apps round-robin (most-free, lowest ID).
 func TestOrchestratorSpread(t *testing.T) {
-	fl, err := New(fleetCfg(4, 1, 0, 1))
+	fl, err := New(fleetCfg(4, 1, 1))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer fl.Close()
 	for i := 0; i < 4; i++ {
 		spec := core.AppSpec{
 			Name: fmt.Sprintf("app%d", i),
@@ -306,11 +294,10 @@ func TestOrchestratorSpread(t *testing.T) {
 
 // TestPlaceManifest routes the JSON manifest path through the orchestrator.
 func TestPlaceManifest(t *testing.T) {
-	fl, err := New(fleetCfg(2, 1, 0, 1))
+	fl, err := New(fleetCfg(2, 1, 1))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer fl.Close()
 	data := []byte(`[
 		{"name":"m0","accels":[{"name":"e","kind":"echo","service":300}]},
 		{"name":"m1","accels":[{"name":"e","kind":"echo","service":300}]}
@@ -327,11 +314,10 @@ func TestPlaceManifest(t *testing.T) {
 // TestDeployAntiAffinity: replicas must land on distinct boards, so a
 // 3-replica service cannot fit a 2-board fleet.
 func TestDeployAntiAffinity(t *testing.T) {
-	fl, err := New(fleetCfg(2, 1, 0, 1))
+	fl, err := New(fleetCfg(2, 1, 1))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer fl.Close()
 	if _, err := fl.Orchestrator().DeployService(kvDeployment(3)); err == nil {
 		t.Fatalf("3 replicas on 2 boards should fail anti-affinity")
 	}
@@ -340,11 +326,10 @@ func TestDeployAntiAffinity(t *testing.T) {
 // TestConnectClientCollision: a board hosting a replica cannot also host a
 // proxy for the same service (the flow would collide).
 func TestConnectClientCollision(t *testing.T) {
-	fl, err := New(fleetCfg(3, 1, 0, 1))
+	fl, err := New(fleetCfg(3, 1, 1))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer fl.Close()
 	eps, err := fl.Orchestrator().DeployService(kvDeployment(1))
 	if err != nil {
 		t.Fatalf("DeployService: %v", err)
@@ -393,11 +378,10 @@ func TestDirectory(t *testing.T) {
 
 // TestRegisterNode covers fleet node routing for extra soft endpoints.
 func TestRegisterNode(t *testing.T) {
-	fl, err := New(fleetCfg(2, 1, 0, 1))
+	fl, err := New(fleetCfg(2, 1, 1))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer fl.Close()
 	if err := fl.RegisterNode(netsim.NodeID(500), 1); err != nil {
 		t.Fatalf("RegisterNode: %v", err)
 	}

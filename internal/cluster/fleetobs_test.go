@@ -13,19 +13,18 @@ import (
 // runFleetObs is runFleet with a parameterized span sampling rate. It
 // returns two fingerprints: the full one (stats + spans + clients) and a
 // simulation-only one with the recorded-span lines stripped. The full
-// fingerprint must be invariant across worker/shard counts at a fixed
+// fingerprint must be invariant across worker counts at a fixed
 // sampling rate; the sim fingerprint must be invariant across sampling
 // rates too — tracing is pure observation and must never steer the
 // simulation.
-func runFleetObs(t *testing.T, seed uint64, shards, workers, spanEvery int) (full, sim string) {
+func runFleetObs(t *testing.T, seed uint64, workers, spanEvery int) (full, sim string) {
 	t.Helper()
-	cfg := fleetCfg(16, seed, shards, workers)
+	cfg := fleetCfg(16, seed, workers)
 	cfg.Board.SpanSampleEvery = spanEvery
 	fl, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer fl.Close()
 	if _, err := fl.Orchestrator().DeployService(kvDeployment(2)); err != nil {
 		t.Fatalf("DeployService: %v", err)
 	}
@@ -42,8 +41,7 @@ func runFleetObs(t *testing.T, seed uint64, shards, workers, spanEvery int) (ful
 		return true
 	}
 	if !fl.RunUntil(done, 400_000) {
-		t.Fatalf("spanEvery=%d shards=%d workers=%d: clients not done by budget",
-			spanEvery, shards, workers)
+		t.Fatalf("spanEvery=%d workers=%d: clients not done by budget", spanEvery, workers)
 	}
 	for i, r := range reqs {
 		if r.Responses() != 5 || r.Errors() != 0 {
@@ -68,31 +66,29 @@ func runFleetObs(t *testing.T, seed uint64, shards, workers, spanEvery int) (ful
 
 // TestFleetObsDifferential is the observability chaos test: a 16-board
 // fleet run with tracing off, 1-in-64, and every-packet sampling, each
-// under 1 and 4 workers and with sharded engines. Per sampling rate the
-// full fingerprint (including the recorded span set) must be bit-exact
-// across execution strategies; across sampling rates the span-free sim
-// fingerprint must be bit-exact — observation cannot perturb timing.
+// under 1 and 4 workers. Per sampling rate the full fingerprint (including
+// the recorded span set) must be bit-exact across worker counts; across
+// sampling rates the span-free sim fingerprint must be bit-exact —
+// observation cannot perturb timing.
 func TestFleetObsDifferential(t *testing.T) {
 	const seed = 12345
-	type combo struct{ shards, workers int }
-	combos := []combo{{0, 1}, {0, 4}, {3, 4}}
+	workerCounts := []int{1, 4}
 	var simBase string
-	var simFrom combo
 	for _, spanEvery := range []int{0, 64, 1} {
 		var fullBase string
-		for i, c := range combos {
-			full, sim := runFleetObs(t, seed, c.shards, c.workers, spanEvery)
+		for i, workers := range workerCounts {
+			full, sim := runFleetObs(t, seed, workers, spanEvery)
 			if i == 0 {
 				fullBase = full
 			} else if full != fullBase {
-				t.Fatalf("spanEvery=%d: full fingerprint diverged between %+v and %+v:\n%s",
-					spanEvery, combos[0], c, firstDiff(fullBase, full))
+				t.Fatalf("spanEvery=%d: full fingerprint diverged between workers=%d and workers=%d:\n%s",
+					spanEvery, workerCounts[0], workers, firstDiff(fullBase, full))
 			}
 			if simBase == "" {
-				simBase, simFrom = sim, c
+				simBase = sim
 			} else if sim != simBase {
-				t.Fatalf("sim fingerprint diverged between %+v and spanEvery=%d %+v — tracing perturbed the simulation:\n%s",
-					simFrom, spanEvery, c, firstDiff(simBase, sim))
+				t.Fatalf("sim fingerprint diverged at spanEvery=%d workers=%d — tracing perturbed the simulation:\n%s",
+					spanEvery, workers, firstDiff(simBase, sim))
 			}
 		}
 	}
@@ -102,13 +98,12 @@ func TestFleetObsDifferential(t *testing.T) {
 // request must render as spans on at least two distinct board process rows
 // plus a cluster-link hop on the dedicated cluster row.
 func TestFleetStitchedTrace(t *testing.T) {
-	cfg := fleetCfg(4, 7, 0, 1)
+	cfg := fleetCfg(4, 7, 1)
 	cfg.Board.SpanSampleEvery = 1 // trace every packet
 	fl, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer fl.Close()
 	if _, err := fl.Orchestrator().DeployService(kvDeployment(2)); err != nil {
 		t.Fatalf("DeployService: %v", err)
 	}

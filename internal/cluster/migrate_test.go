@@ -13,11 +13,10 @@ import (
 // migration differentials; these pin the decision layer.
 
 func TestMigrateReplicaValidation(t *testing.T) {
-	fl, err := New(fleetCfg(4, 1, 0, 1))
+	fl, err := New(fleetCfg(4, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 	o := fl.Orchestrator()
 	if err := o.MigrateReplica("ghost", 0, -1); err == nil ||
 		!strings.Contains(err.Error(), "was not deployed") {
@@ -52,11 +51,10 @@ func TestMigrateReplicaValidation(t *testing.T) {
 }
 
 func TestMigrateReplicaMovesBackend(t *testing.T) {
-	fl, err := New(fleetCfg(4, 7, 0, 1))
+	fl, err := New(fleetCfg(4, 7, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 	o := fl.Orchestrator()
 	if _, err := o.DeployService(kvDeployment(2)); err != nil {
 		t.Fatal(err)
@@ -105,11 +103,10 @@ func TestMigrateReplicaMovesBackend(t *testing.T) {
 }
 
 func TestDrainBoardMovesEveryReplica(t *testing.T) {
-	fl, err := New(fleetCfg(4, 3, 0, 1))
+	fl, err := New(fleetCfg(4, 3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 	o := fl.Orchestrator()
 	if _, err := o.DeployService(kvDeployment(2)); err != nil {
 		t.Fatal(err)
@@ -129,11 +126,10 @@ func TestDrainBoardMovesEveryReplica(t *testing.T) {
 }
 
 func TestMigrateAbortOnDestinationDeath(t *testing.T) {
-	fl, err := New(fleetCfg(4, 5, 0, 1))
+	fl, err := New(fleetCfg(4, 5, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 	o := fl.Orchestrator()
 	if _, err := o.DeployService(kvDeployment(2)); err != nil {
 		t.Fatal(err)
@@ -157,11 +153,10 @@ func TestMigrateAbortOnDestinationDeath(t *testing.T) {
 }
 
 func TestScheduledDirectivesRunAtBarrier(t *testing.T) {
-	fl, err := New(fleetCfg(4, 9, 0, 1))
+	fl, err := New(fleetCfg(4, 9, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fl.Close()
 	o := fl.Orchestrator()
 	if _, err := o.DeployService(kvDeployment(2)); err != nil {
 		t.Fatal(err)

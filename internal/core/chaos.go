@@ -8,9 +8,8 @@ import (
 
 // chaosTarget adapts the kernel's tile table to fault.Target, letting the
 // chaos engine reach shells and monitors without the fault package importing
-// core. All four hooks run on the main goroutine between tick phases (the
-// injector schedules them as engine events), so touching tile state directly
-// is race-free and identical under any shard count.
+// core. All four hooks run between tick phases (the injector schedules them
+// as engine events), so touching tile state directly is safe.
 type chaosTarget struct {
 	k *Kernel
 }

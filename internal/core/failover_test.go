@@ -18,7 +18,6 @@ import (
 // cannot contain faults per-context, so a forced fault fail-stops its tile —
 // exactly the replica-death case the failover machinery exists for.
 type groupEcho struct {
-	accel.TileLocalMarker
 	name string
 }
 
@@ -220,11 +219,10 @@ type failoverSnap struct {
 // runFailover boots a 4x4 board with watchdogs and a chaos plan, loads two
 // echo replicas behind a group plus a resilient requester driving the group
 // service, runs a fixed horizon, and fingerprints the end state.
-func runFailover(t *testing.T, plan *fault.Plan, shards int, mode sim.ParallelMode,
-	horizon sim.Cycle, total int, gap sim.Cycle) failoverSnap {
+func runFailover(t *testing.T, plan *fault.Plan, horizon sim.Cycle, total int, gap sim.Cycle) failoverSnap {
 	t.Helper()
 	s, err := NewSystem(SystemConfig{
-		Dims: noc.Dims{W: 4, H: 4}, Seed: 1, Shards: shards,
+		Dims: noc.Dims{W: 4, H: 4}, Seed: 1,
 		Detect: monitor.DefaultDetect, FaultPlan: plan,
 	})
 	if err != nil {
@@ -252,7 +250,6 @@ func runFailover(t *testing.T, plan *fault.Plan, shards int, mode sim.ParallelMo
 	if _, err := s.Kernel.LoadApp(spec); err != nil {
 		t.Fatal(err)
 	}
-	s.Engine.SetParallel(mode)
 	s.Run(horizon)
 
 	snap := failoverSnap{
@@ -265,7 +262,6 @@ func runFailover(t *testing.T, plan *fault.Plan, shards int, mode sim.ParallelMo
 	for _, c := range s.Stats.Counters() {
 		snap.Counters[c.Name] = c.Value()
 	}
-	s.Engine.Close()
 	return snap
 }
 
@@ -283,15 +279,15 @@ func killPrimaryPlan() *fault.Plan {
 // TestFailoverDifferential is the tentpole proof for the failover path: kill
 // the primary mid-run and the whole degradation cascade — watchdog verdict,
 // quarantine, group re-bind, capability re-mint, client retries, recovery —
-// lands bit-exactly on the same counters, client totals and directory at
-// any shard count, serial or parallel. Zero healthy-tenant requests lost.
+// lands bit-exactly on the same counters, client totals and directory in
+// two runs of the same configuration. Zero healthy-tenant requests lost.
 func TestFailoverDifferential(t *testing.T) {
 	const (
 		horizon = 600_000
 		total   = 600
 		gap     = 300
 	)
-	base := runFailover(t, killPrimaryPlan(), 1, sim.ParallelOff, horizon, total, gap)
+	base := runFailover(t, killPrimaryPlan(), horizon, total, gap)
 	if base.Failovers < 1 || base.Quars < 1 {
 		t.Fatalf("plan killed nothing: failovers=%d quarantines=%d", base.Failovers, base.Quars)
 	}
@@ -308,28 +304,21 @@ func TestFailoverDifferential(t *testing.T) {
 	if base.Retried == 0 {
 		t.Fatal("failover window cost no retransmits — the kill happened after the workload")
 	}
-	for _, shards := range []int{2, 8} {
-		for _, mode := range []sim.ParallelMode{sim.ParallelOff, sim.ParallelOn} {
-			shards, mode := shards, mode
-			t.Run(fmt.Sprintf("shards=%d/mode=%v", shards, mode), func(t *testing.T) {
-				got := runFailover(t, killPrimaryPlan(), shards, mode, horizon, total, gap)
-				if !reflect.DeepEqual(got, base) {
-					for k, v := range base.Counters {
-						if got.Counters[k] != v {
-							t.Errorf("counter %s = %d, want %d", k, got.Counters[k], v)
-						}
-					}
-					got.Counters, base.Counters = nil, nil
-					t.Errorf("snapshots differ:\n got %+v\nwant %+v", got, base)
-				}
-			})
+	got := runFailover(t, killPrimaryPlan(), horizon, total, gap)
+	if !reflect.DeepEqual(got, base) {
+		for k, v := range base.Counters {
+			if got.Counters[k] != v {
+				t.Errorf("counter %s = %d, want %d", k, got.Counters[k], v)
+			}
 		}
+		got.Counters, base.Counters = nil, nil
+		t.Errorf("snapshots differ:\n got %+v\nwant %+v", got, base)
 	}
 }
 
 // TestFailoverSoak drives repeated failover/recovery cycles — primary dies,
 // group re-binds, primary recovers, *new* primary dies, group re-binds back
-// — from three seeds, requiring serial and sharded runs to agree exactly.
+// — from three seeds, requiring two runs of each to agree exactly.
 func TestFailoverSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak")
@@ -347,16 +336,16 @@ func TestFailoverSoak(t *testing.T) {
 						Tile: 3, Dur: sim.Cycle(100_000 + rng.Intn(50_000))},
 				},
 			}
-			base := runFailover(t, plan, 1, sim.ParallelOff, 1_000_000, 1200, 600)
+			base := runFailover(t, plan, 1_000_000, 1200, 600)
 			if base.Failovers < 2 {
 				t.Fatalf("wanted repeated failover cycles, got %d", base.Failovers)
 			}
 			if base.Responses != 1200 || base.Errors != 0 {
 				t.Fatalf("lost requests: responses=%d errors=%d", base.Responses, base.Errors)
 			}
-			got := runFailover(t, plan, 4, sim.ParallelOn, 1_000_000, 1200, 600)
+			got := runFailover(t, plan, 1_000_000, 1200, 600)
 			if !reflect.DeepEqual(got, base) {
-				t.Errorf("serial and sharded soak disagree:\n got %+v\nwant %+v", got, base)
+				t.Errorf("repeated soak runs disagree:\n got %+v\nwant %+v", got, base)
 			}
 		})
 	}

@@ -17,8 +17,8 @@ import (
 // retryable and exempt from the violation budget), re-binds the name to the
 // next healthy member's tile, and re-mints the endpoint capability into
 // every table slot that held it. All of this happens in the kernel's
-// message-delivery path, which runs in global tile order during the commit
-// phase — health transitions are bit-exact across serial and sharded runs.
+// message-delivery path, which runs in tile order during the commit phase
+// — health transitions are bit-exact run to run.
 
 // Health is the kernel's per-replica verdict, driven by monitor watchdogs
 // and the quarantine/recovery lifecycle.

@@ -570,8 +570,8 @@ func (k *Kernel) MigrationAborts() uint64 { return k.migAbortC.Value() }
 // MigrateApp live-migrates a loaded app to a new region on this board:
 // quiesce, checkpoint, gentle teardown, PR delay, reload + restore,
 // re-mint, resume. The call returns once the quiesce is underway; the rest
-// runs on the engine's event spine, so serial and sharded runs take
-// identical decisions at identical cycles. A quiesce that cannot drain
+// runs on the engine's event spine, so repeated runs take identical
+// decisions at identical cycles. A quiesce that cannot drain
 // within the timeout aborts with the source resumed and authoritative.
 func (k *Kernel) MigrateApp(name string) error {
 	app, ok := k.apps[name]

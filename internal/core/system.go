@@ -23,9 +23,6 @@ type SystemConfig struct {
 	Board string
 	// Dims is the NoC mesh size. Default 3x3.
 	Dims noc.Dims
-	// Shards partitions the mesh into row bands for the parallel tick
-	// scheduler (0 = serial). Results are bit-exact at any shard count.
-	Shards int
 	// Seed for the deterministic PRNG. Default 1.
 	Seed uint64
 	// DisableCaps turns off capability enforcement (experiment ablation).
@@ -140,12 +137,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		NodeID:  cfg.NodeID,
 	}
 	s.Tracer = trace.New(cfg.TracerCap)
-	// The tracer commits before the NoC (registration order) so that
-	// tick-phase egress events flush into the ring ahead of the same
-	// cycle's commit-phase ingress events.
-	s.Engine.RegisterCommitter(s.Tracer)
-	s.Noc = noc.NewNetwork(s.Engine, s.Stats, noc.Config{Dims: cfg.Dims, Shards: cfg.Shards})
-	s.Tracer.SetShards(s.Noc.NumShards())
+	s.Noc = noc.NewNetwork(s.Engine, s.Stats, noc.Config{Dims: cfg.Dims})
 	if cfg.SpanSampleEvery > 0 {
 		s.Obs = obs.NewRecorder(cfg.SpanSampleEvery, cfg.SpanCap)
 		s.Noc.SetSpanSampler(s.Obs)

@@ -18,12 +18,8 @@ import (
 
 // chaosApp is a tile-local request/reply workload (modeled on the monitor
 // package's differential harness): it requests a service on another tile,
-// echoes requests it receives, and keeps a purely tile-local log. Nothing it
-// touches is shared, so the engine can shard it — the point of these tests
-// is that the chaos engine around it behaves identically in every mode.
+// echoes requests it receives, and keeps a purely tile-local log.
 type chaosApp struct {
-	accel.TileLocalMarker
-
 	id     int
 	target msg.ServiceID
 	gap    sim.Cycle
@@ -117,16 +113,13 @@ var chaosDetect = monitor.Detect{
 // runChaos assembles a 4x4 mesh (monitor + shell + tile-local app per tile),
 // arms the plan, runs a fixed horizon, then requires the network to drain
 // and the credit invariant to hold.
-func runChaos(t *testing.T, plan *fault.Plan, shards int, mode sim.ParallelMode) chaosSnapshot {
+func runChaos(t *testing.T, plan *fault.Plan) chaosSnapshot {
 	t.Helper()
 	const tiles = 16
 	e := sim.NewEngine(7)
-	defer e.Close()
 	st := sim.NewStats()
 	tracer := trace.New(1 << 16)
-	e.RegisterCommitter(tracer)
-	net := noc.NewNetwork(e, st, noc.Config{Dims: noc.Dims{W: 4, H: 4}, Shards: shards})
-	tracer.SetShards(net.NumShards())
+	net := noc.NewNetwork(e, st, noc.Config{Dims: noc.Dims{W: 4, H: 4}})
 	checker := cap.NewChecker()
 
 	svc := func(i int) msg.ServiceID { return msg.FirstUserService + msg.ServiceID(i) }
@@ -162,14 +155,12 @@ func runChaos(t *testing.T, plan *fault.Plan, shards int, mode sim.ParallelMode)
 	if err := inj.Arm(); err != nil {
 		t.Fatalf("arm: %v", err)
 	}
-	e.SetParallel(mode)
 
 	e.Run(30_000)
 	// Every fault in the plans below expires inside the horizon; the mesh
 	// must still drain, fail-stopped tiles and all.
 	if !e.RunUntilEvery(net.Quiescent, 50_000, 16) {
-		t.Fatalf("network never quiesced after chaos (inflight=%d shards=%d mode=%v)",
-			net.InFlight(), shards, mode)
+		t.Fatalf("network never quiesced after chaos (inflight=%d)", net.InFlight())
 	}
 	if v := net.CreditInvariantViolation(); v != "" {
 		t.Fatalf("credit invariant violated after chaos: %s", v)
@@ -212,12 +203,11 @@ func fullPlan() *fault.Plan {
 	}
 }
 
-// TestFaultDifferential proves the tentpole property: an injected run is
-// bit-exact — counters, trace ring, per-tile logs, shell states, quiesce
-// cycle — whether the tick phase ran serially or sharded, at any shard
-// count.
+// TestFaultDifferential proves the chaos engine is deterministic: two runs
+// of the same injected configuration are bit-exact — counters, trace ring,
+// per-tile logs, shell states, quiesce cycle.
 func TestFaultDifferential(t *testing.T) {
-	base := runChaos(t, fullPlan(), 1, sim.ParallelOff)
+	base := runChaos(t, fullPlan())
 	if base.Counters["fault.injected"] < 7 {
 		t.Fatalf("plan under-injected: %d activations", base.Counters["fault.injected"])
 	}
@@ -236,15 +226,7 @@ func TestFaultDifferential(t *testing.T) {
 	if stopped == 0 {
 		t.Fatalf("no tile fail-stopped: states=%v", base.States)
 	}
-	for _, shards := range []int{2, 8} {
-		for _, mode := range []sim.ParallelMode{sim.ParallelOff, sim.ParallelOn} {
-			shards, mode := shards, mode
-			t.Run(fmt.Sprintf("shards=%d/mode=%v", shards, mode), func(t *testing.T) {
-				got := runChaos(t, fullPlan(), shards, mode)
-				diffSnapshots(t, base, got)
-			})
-		}
-	}
+	diffSnapshots(t, base, runChaos(t, fullPlan()))
 }
 
 func diffSnapshots(t *testing.T, base, got chaosSnapshot) {
@@ -286,7 +268,7 @@ func diffSnapshots(t *testing.T, base, got chaosSnapshot) {
 // TestFaultHealthyTilesUnaffected pins the blast radius at the message
 // level: tiles whose service, client and route share nothing with the
 // fail-stopped tile deliver exactly the same message log as a fault-free
-// run, serial or parallel.
+// run.
 func TestFaultHealthyTilesUnaffected(t *testing.T) {
 	// Only a spurious trip on tile 9: its clients (tile 4 targets svc 9)
 	// see NACKs; everyone else must be untouched.
@@ -294,12 +276,11 @@ func TestFaultHealthyTilesUnaffected(t *testing.T) {
 		Seed:   1,
 		Events: []fault.Event{{Kind: fault.KindFalsePos, At: 3_000, Tile: 9}},
 	}
-	clean := runChaos(t, &fault.Plan{Seed: 1}, 1, sim.ParallelOff)
-	faulted := runChaos(t, plan, 1, sim.ParallelOff)
-	faultedPar := runChaos(t, plan, 8, sim.ParallelOn)
+	clean := runChaos(t, &fault.Plan{Seed: 1})
+	faulted := runChaos(t, plan)
 
-	// The injected runs must agree with each other exactly.
-	diffSnapshots(t, faulted, faultedPar)
+	// Repeated injected runs must agree with each other exactly.
+	diffSnapshots(t, faulted, runChaos(t, plan))
 
 	// Healthy-tile blast radius vs the clean run: tile 9 serves svc 9
 	// (client: tile 4) and runs the client of svc 14. Those tiles' traffic
@@ -346,17 +327,14 @@ func tileMsgs(logs []string, tile int) []string {
 }
 
 // TestFaultSoak drives randomized plans (deterministically generated from
-// small seeds) through the serial and sharded schedulers and requires
-// agreement,
-// quiescence and credit-invariant health every time.
+// small seeds) twice each and requires agreement, quiescence and
+// credit-invariant health every time.
 func TestFaultSoak(t *testing.T) {
 	for _, seed := range []uint64{2, 3, 5} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			plan := randomPlan(seed)
-			base := runChaos(t, plan, 1, sim.ParallelOff)
-			got := runChaos(t, plan, 4, sim.ParallelOn)
-			diffSnapshots(t, base, got)
+			diffSnapshots(t, runChaos(t, plan), runChaos(t, plan))
 		})
 	}
 }

@@ -36,12 +36,11 @@ type MigrateTarget interface {
 	Migrate(tile msg.TileID)
 }
 
-// Injector compiles a Plan into engine events. Every injection runs on the
-// main goroutine between tick phases (the sim.Engine event contract), so an
-// injected run perturbs simulation state at cycle boundaries only — which is
-// why chaos runs stay bit-exact serial vs parallel at any shard count, and
-// why idle-skip never skips over an injection (the engine fast-forwards at
-// most to the next event's cycle).
+// Injector compiles a Plan into engine events. Every injection runs between
+// tick phases (the sim.Engine event contract), so an injected run perturbs
+// simulation state at cycle boundaries only — which is why chaos runs stay
+// bit-exact run to run, and why idle-skip never skips over an injection
+// (the engine fast-forwards at most to the next event's cycle).
 type Injector struct {
 	plan   *Plan
 	engine *sim.Engine

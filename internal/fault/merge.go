@@ -4,7 +4,7 @@ package fault
 // one-shot events and probabilistic rates. It is how scenario-embedded
 // chaos (internal/load) cross-products with an externally supplied plan —
 // both fault sources ride one injector, so the combined run keeps the
-// usual serial-vs-parallel bit-exactness.
+// usual run-to-run bit-exactness.
 //
 // The merged seed is a's when b has none, b's when a has none, and the
 // XOR otherwise (order-independent, and distinct from either input so a

@@ -54,7 +54,6 @@ func (m *migrateRecorder) Migrate(tile msg.TileID) {
 func dispatchHarness(t *testing.T, target Target, plan *Plan) {
 	t.Helper()
 	e := sim.NewEngine(1)
-	defer e.Close()
 	st := sim.NewStats()
 	net := noc.NewNetwork(e, st, noc.Config{Dims: noc.Dims{W: 4, H: 4}})
 	in := NewInjector(plan, e, net, target, st)

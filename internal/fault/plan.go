@@ -1,8 +1,7 @@
 // Package fault implements Apiary's deterministic chaos engine: seed-driven
 // fault-injection plans (accelerator hangs, wild writes, babble, link
 // stalls/flips, stuck VCs, spurious monitor trips) compiled into engine
-// events so an injected run stays bit-exact serial vs parallel at any shard
-// count. The containment machinery it exercises — monitor watchdogs,
+// events so an injected run stays bit-exact run to run. The containment machinery it exercises — monitor watchdogs,
 // fail-stop quarantine, region-reload recovery — lives in monitor/ and
 // core/; this package only decides *when* and *where* things break.
 package fault

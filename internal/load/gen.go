@@ -51,12 +51,6 @@ type PhaseAgg struct {
 // session population over one pooled client tile, and records the
 // client-visible stream.
 //
-// Generator is deliberately NOT marked accel.TileLocal, same as Requester:
-// it observes latency histograms and writes the board event log during
-// Tick. A board hosting a generator ticks serially; the NoC's sharded
-// commit structure still varies with the shard count, which is exactly
-// what the differential test exercises.
-//
 // Open-loop discipline: latency is measured from the scheduled arrival
 // cycle, and the generator never retransmits — a denial or timeout is a
 // client-visible outcome, not a reason to re-offer. A slow server

@@ -156,21 +156,19 @@ func TestRateCurve(t *testing.T) {
 }
 
 // boardCfg is the single-board test system.
-func boardCfg(shards int) core.SystemConfig {
+func boardCfg() core.SystemConfig {
 	return core.SystemConfig{
 		Dims:            noc.Dims{W: 4, H: 4},
-		Shards:          shards,
 		ManagedMemBytes: 1 << 20,
 	}
 }
 
-// runBoard executes the diff scenario at the given shard count and
-// returns the run for inspection.
-func runBoard(t *testing.T, scn *Scenario, shards int) *BoardRun {
+// runBoard executes the diff scenario and returns the run for inspection.
+func runBoard(t *testing.T, scn *Scenario) *BoardRun {
 	t.Helper()
-	br, err := NewBoardRun(scn, boardCfg(shards))
+	br, err := NewBoardRun(scn, boardCfg())
 	if err != nil {
-		t.Fatalf("board run (shards=%d): %v", shards, err)
+		t.Fatalf("board run: %v", err)
 	}
 	br.RunScenario(30000)
 	return br
@@ -179,21 +177,17 @@ func runBoard(t *testing.T, scn *Scenario, shards int) *BoardRun {
 func TestScenarioDifferential(t *testing.T) {
 	scn := mustParse(t, diffScn)
 
-	// Serial vs sharded single board: bit-exact at shards 1/2/4.
-	base := runBoard(t, scn, 0)
+	// Single board: two runs of the same config are bit-exact.
+	base := runBoard(t, scn)
 	if !base.Done() {
-		t.Fatalf("serial run did not drain: %+v", base.Status())
+		t.Fatalf("board run did not drain: %+v", base.Status())
 	}
 	_, ok, _, _, _ := base.Gen.Totals()
 	if ok == 0 {
-		t.Fatalf("serial run completed nothing: %+v", base.Status())
+		t.Fatalf("board run completed nothing: %+v", base.Status())
 	}
-	want := base.Fingerprint()
-	for _, shards := range []int{1, 2, 4} {
-		got := runBoard(t, scn, shards).Fingerprint()
-		if got != want {
-			t.Fatalf("shards=%d fingerprint %#x != serial %#x", shards, got, want)
-		}
+	if got, want := runBoard(t, scn).Fingerprint(), base.Fingerprint(); got != want {
+		t.Fatalf("repeat board run fingerprint %#x != first run %#x", got, want)
 	}
 
 	// Fleet workers 1 vs 4: bit-exact, kill and chaos included.
@@ -214,7 +208,6 @@ func TestScenarioDifferential(t *testing.T) {
 		}
 		t.Logf("fleet workers=%d: %+v", workers, st)
 		fps = append(fps, fr.Fingerprint())
-		fr.Close()
 	}
 	if fps[0] != fps[1] {
 		t.Fatalf("fleet workers 1 vs 4 fingerprints differ: %#x vs %#x", fps[0], fps[1])
@@ -234,7 +227,7 @@ func fleetCfg(workers int) cluster.Config {
 
 func TestReplayFingerprint(t *testing.T) {
 	scn := mustParse(t, diffScn)
-	rec := runBoard(t, scn, 0)
+	rec := runBoard(t, scn)
 	recording := rec.Recording()
 
 	// The recording survives its text format.
@@ -251,7 +244,7 @@ func TestReplayFingerprint(t *testing.T) {
 	}
 
 	// Replaying the arrivals yields an identical delivered stream.
-	br, err := NewBoardRun(scn, boardCfg(0))
+	br, err := NewBoardRun(scn, boardCfg())
 	if err != nil {
 		t.Fatalf("replay board: %v", err)
 	}
@@ -281,7 +274,6 @@ func TestScenarioGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fleet run: %v", err)
 	}
-	defer fr.Close()
 	fr.RunScenario(40000)
 	if !fr.Done() {
 		t.Fatalf("smoke scenario did not drain: %+v", fr.Status())
@@ -308,7 +300,7 @@ func TestScenarioGolden(t *testing.T) {
 
 func TestStatusAndReport(t *testing.T) {
 	scn := mustParse(t, diffScn)
-	br := runBoard(t, scn, 0)
+	br := runBoard(t, scn)
 	st := br.Status()
 	if st.Scenario != "diff" || st.Offered == 0 || st.OK == 0 {
 		t.Fatalf("status: %+v", st)

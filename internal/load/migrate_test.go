@@ -142,7 +142,7 @@ func diffOutsideWindow(t *testing.T, mig, ctl *Recording, timeout, start, end si
 }
 
 // TestMigrateDifferential is the on-board half of the migration acceptance
-// gate: a kernel-driven live migration is bit-exact at any shard count, and
+// gate: a kernel-driven live migration is bit-exact across runs, and
 // against an unmigrated control run the client-visible outcome of every
 // request outside the bounded migration window is identical — no request is
 // lost or answered twice.
@@ -150,20 +150,20 @@ func TestMigrateDifferential(t *testing.T) {
 	mig := mustParse(t, migScn)
 	ctl := mustParse(t, stripDirective(t, migScn, "migrate at=30000"))
 
-	run := func(scn *Scenario, shards int) *BoardRun {
-		br, err := NewBoardRun(scn, boardCfg(shards))
+	run := func(scn *Scenario) *BoardRun {
+		br, err := NewBoardRun(scn, boardCfg())
 		if err != nil {
-			t.Fatalf("board run (shards=%d): %v", shards, err)
+			t.Fatalf("board run: %v", err)
 		}
 		br.RunScenario(60000)
 		if !br.Done() {
-			t.Fatalf("run (shards=%d) did not drain: %+v", shards, br.Status())
+			t.Fatalf("run did not drain: %+v", br.Status())
 		}
 		return br
 	}
 
-	ctlRun := run(ctl, 0)
-	migRun := run(mig, 0)
+	ctlRun := run(ctl)
+	migRun := run(mig)
 	k := migRun.Sys.Kernel
 	if k.MigrationsDone() != 1 || k.MigrationAborts() != 0 {
 		t.Fatalf("migrations done=%d aborts=%d, want 1/0", k.MigrationsDone(), k.MigrationAborts())
@@ -174,12 +174,9 @@ func TestMigrateDifferential(t *testing.T) {
 		t.Fatalf("migrate-done at %d not after start %d", doneAt, mAt)
 	}
 
-	// The migrated run is bit-exact serial vs sharded.
-	want := migRun.Fingerprint()
-	for _, shards := range []int{1, 2, 4} {
-		if got := run(mig, shards).Fingerprint(); got != want {
-			t.Fatalf("shards=%d fingerprint %#x != serial %#x", shards, got, want)
-		}
+	// The migrated run is bit-exact across repeats.
+	if got, want := run(mig).Fingerprint(), migRun.Fingerprint(); got != want {
+		t.Fatalf("repeat migrated run fingerprint %#x != first run %#x", got, want)
 	}
 
 	timeout := mig.Timeout
@@ -235,8 +232,6 @@ func TestMigrateFleetDifferential(t *testing.T) {
 		fps = append(fps, fr.Fingerprint())
 		if workers == 1 {
 			migRun = fr
-		} else {
-			fr.Close()
 		}
 	}
 	if fps[0] != fps[1] {
@@ -244,8 +239,6 @@ func TestMigrateFleetDifferential(t *testing.T) {
 	}
 
 	ctlRun := run(ctl, 1)
-	defer ctlRun.Close()
-	defer migRun.Close()
 	// The cross-board window: quiesce begins at the directive cycle; the
 	// 16 KiB snapshot crosses the link within a conservative 20k cycles.
 	mAt := scn.Migrate[0].At
@@ -299,7 +292,6 @@ func TestMigrateAbortMidTransfer(t *testing.T) {
 			outcomeMap(t, g.Recording())
 		}
 		fps = append(fps, fr.Fingerprint())
-		fr.Close()
 	}
 	if fps[0] != fps[1] {
 		t.Fatalf("abort run workers 1 vs 4 fingerprints differ: %#x vs %#x", fps[0], fps[1])
@@ -315,7 +307,6 @@ func TestMigrateFleetDrain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fleet run: %v", err)
 	}
-	defer fr.Close()
 	fr.RunScenario(50000)
 	if !fr.Done() {
 		t.Fatalf("drain run did not finish: %+v", fr.Status())

@@ -188,7 +188,6 @@ func NewFleetRun(scn *Scenario, cfg cluster.Config) (*FleetRun, error) {
 		return nil, err
 	}
 	if err := scn.Validate(fl.Board(0).Sys.Noc.Dims()); err != nil {
-		fl.Close()
 		return nil, err
 	}
 	eps, err := fl.Orchestrator().DeployService(cluster.ServiceDeployment{
@@ -198,7 +197,6 @@ func NewFleetRun(scn *Scenario, cfg cluster.Config) (*FleetRun, error) {
 		},
 	})
 	if err != nil {
-		fl.Close()
 		return nil, err
 	}
 	replica := map[int]bool{}
@@ -212,7 +210,6 @@ func NewFleetRun(scn *Scenario, cfg cluster.Config) (*FleetRun, error) {
 			continue
 		}
 		if err := fl.Orchestrator().ConnectClient(board, scn.Target, "scn-"+scn.Name); err != nil {
-			fl.Close()
 			return nil, err
 		}
 		gen := NewGenerator(scn, scn.Target, mixSeed(scn.Seed, board), clients, fs.Clients)
@@ -225,14 +222,12 @@ func NewFleetRun(scn *Scenario, cfg cluster.Config) (*FleetRun, error) {
 				New: func() accel.Accelerator { return gen },
 			}},
 		}); err != nil {
-			fl.Close()
 			return nil, err
 		}
 		r.Gens = append(r.Gens, gen)
 		clients++
 	}
 	if clients < fs.Clients {
-		fl.Close()
 		return nil, fmt.Errorf("load: fleet has only %d non-replica boards for %d clients",
 			clients, fs.Clients)
 	}
@@ -284,8 +279,10 @@ func (r *FleetRun) RunScenario(drain sim.Cycle) {
 	}
 }
 
-// Close releases the fleet's worker pool.
-func (r *FleetRun) Close() { r.Fl.Close() }
+// Close is a no-op: a fleet holds no goroutines or other resources between
+// runs (its workers live only inside an epoch). It is kept so callers that
+// release a finished run stay valid.
+func (r *FleetRun) Close() {}
 
 // Fingerprint folds the per-generator fingerprints in board order into the
 // fleet's client-visible fingerprint. Board kills land at epoch barriers,

@@ -8,7 +8,7 @@
 //
 // Everything runs on the engine clock. Arrivals are emitted by a per-cycle
 // fixed-point accumulator (integer math only), so a scenario run is
-// deterministic and bit-exact serial vs sharded vs fleet-workers, and
+// deterministic and bit-exact at any fleet worker count, and
 // latency is measured from the scheduled arrival cycle — not the send
 // cycle — which makes the harness immune to coordinated omission: a slow
 // server cannot make the generator stop asking.

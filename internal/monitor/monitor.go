@@ -88,10 +88,6 @@ type Monitor struct {
 	names   map[msg.ServiceID]msg.TileID
 	tracer  *trace.Tracer
 
-	// shard is the tile's shard affinity (from the NI), propagated to
-	// attached shells and used to stage trace events during tick phases.
-	shard int
-
 	// token bucket
 	tokens     float64
 	lastRefill sim.Cycle
@@ -136,28 +132,22 @@ func New(cfg Config, e *sim.Engine, ni *noc.NetworkInterface, shell *accel.Shell
 		nackedIn:   st.Counter("mon.nacked_in"),
 		violations: st.Counter("mon.violations"),
 		deliveredH: st.Histogram("mon.noc_latency_cycles"),
-		shard:      -1,
 	}
 	if ni != nil {
-		m.shard = ni.Shard()
 		ni.SetDeliver(m.ingress)
 	}
 	if shell != nil {
 		shell.Bind(m.Egress, m.onFault)
-		shell.SetShard(m.shard)
 		shell.SetHeartbeat(cfg.Detect.HeartbeatCycles)
 	}
 	return m
 }
 
 // AttachShell binds a shell created after the monitor (the kernel attaches
-// accelerators to tiles when an app is placed). The shell inherits the
-// tile's shard affinity, so a TileLocal accelerator ticks on the tile's
-// worker under the parallel scheduler.
+// accelerators to tiles when an app is placed).
 func (m *Monitor) AttachShell(s *accel.Shell) {
 	m.shell = s
 	s.Bind(m.Egress, m.onFault)
-	s.SetShard(m.shard)
 	s.SetHeartbeat(m.cfg.Detect.HeartbeatCycles)
 }
 
@@ -200,25 +190,11 @@ func (m *Monitor) State() accel.State {
 }
 
 func (m *Monitor) trace(dir trace.Dir, v trace.Verdict, mm *msg.Message, peer msg.TileID) {
-	m.emit(trace.Event{
+	m.tracer.Record(trace.Event{
 		Cycle: m.engine.Now(), Tile: m.cfg.Tile, Dir: dir, Verdict: v,
 		Type: mm.Type, Seq: mm.Seq, DstSvc: mm.DstSvc, Peer: peer,
 		Bytes: len(mm.Payload),
 	})
-}
-
-// emit routes a trace event by phase: events raised inside a tick phase
-// (egress/fault paths, possibly on a shard worker) are staged per shard and
-// flushed by the tracer's commit; events raised outside (ingress, ctl —
-// always on the main goroutine) append directly. Staging whenever in a tick
-// phase — serially ticked or not — keeps the recorded order identical
-// across execution modes.
-func (m *Monitor) emit(ev trace.Event) {
-	if m.engine.InTickPhase() {
-		m.tracer.RecordShard(m.shard, ev)
-	} else {
-		m.tracer.Record(ev)
-	}
 }
 
 // allowFlits implements the token bucket. n is the flit count of the
@@ -580,7 +556,7 @@ func (m *Monitor) handleCtl(mm *msg.Message) {
 // plane.
 func (m *Monitor) onFault(ctx uint8, reason accel.FaultReason) {
 	m.faults.Inc()
-	m.emit(trace.Event{
+	m.tracer.Record(trace.Event{
 		Cycle: m.engine.Now(), Tile: m.cfg.Tile, Verdict: trace.Faulted,
 	})
 	contained := m.shell != nil && m.shell.KillContext(ctx)

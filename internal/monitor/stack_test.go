@@ -13,15 +13,10 @@ import (
 	"apiary/internal/trace"
 )
 
-// meshApp is a tile-local request/reply workload for the full-stack
-// differential test: it periodically requests a service on another tile,
-// echoes requests it receives, and keeps a purely tile-local event log. It
-// deliberately touches nothing shared — no histograms, no engine RNG — so it
-// is safe on the tile's shard (the point of the test is that the monitor,
-// tracer and NoC around it behave identically in both modes).
+// meshApp is a tile-local request/reply workload for the full-stack tests:
+// it periodically requests a service on another tile, echoes requests it
+// receives, and keeps a purely tile-local event log.
 type meshApp struct {
-	accel.TileLocalMarker
-
 	id     int
 	target msg.ServiceID
 	gap    sim.Cycle
@@ -80,18 +75,14 @@ type stackSnapshot struct {
 }
 
 // runStack assembles a 4x4 mesh with a monitor and a tile-local meshApp on
-// every tile (tracer committing before the network, as core.System wires it)
-// and runs the workload to completion.
-func runStack(t *testing.T, shards int, mode sim.ParallelMode) stackSnapshot {
+// every tile and runs the workload to completion.
+func runStack(t *testing.T) stackSnapshot {
 	t.Helper()
 	const tiles = 16
 	e := sim.NewEngine(11)
-	defer e.Close()
 	st := sim.NewStats()
 	tracer := trace.New(1 << 16)
-	e.RegisterCommitter(tracer)
-	net := noc.NewNetwork(e, st, noc.Config{Dims: noc.Dims{W: 4, H: 4}, Shards: shards})
-	tracer.SetShards(net.NumShards())
+	net := noc.NewNetwork(e, st, noc.Config{Dims: noc.Dims{W: 4, H: 4}})
 	checker := cap.NewChecker()
 
 	svc := func(i int) msg.ServiceID { return msg.FirstUserService + msg.ServiceID(i) }
@@ -117,11 +108,6 @@ func runStack(t *testing.T, shards int, mode sim.ParallelMode) stackSnapshot {
 			Object: target, Gen: checker.Gen(cap.KindEndpoint, target),
 		})
 	}
-	e.SetParallel(mode)
-	if mode == sim.ParallelOn && shards > 1 && !e.ParallelActive() {
-		t.Fatal("full stack did not engage the parallel scheduler")
-	}
-
 	done := func() bool {
 		for _, a := range apps {
 			if a.replies < a.total {
@@ -134,7 +120,7 @@ func runStack(t *testing.T, shards int, mode sim.ParallelMode) stackSnapshot {
 		for _, a := range apps {
 			t.Logf("tile %d: sent=%d replies=%d echoed=%d", a.id, a.sent, a.replies, a.echoed)
 		}
-		t.Fatalf("workload did not complete (shards=%d mode=%v)", shards, mode)
+		t.Fatal("workload did not complete")
 	}
 
 	snap := stackSnapshot{Counters: make(map[string]uint64)}
@@ -155,43 +141,72 @@ func runStack(t *testing.T, shards int, mode sim.ParallelMode) stackSnapshot {
 
 // TestFullStackParallelDifferential proves bit-exactness end to end through
 // the monitor layer: capability checks, source stamping, trace recording and
-// delivery accounting are identical whether the tick phase ran serially or
-// sharded, across shard counts.
+// delivery accounting are identical across two runs of the same
+// configuration.
 func TestFullStackParallelDifferential(t *testing.T) {
-	base := runStack(t, 1, sim.ParallelOff)
+	base := runStack(t)
 	if base.Counters["mon.forwarded"] == 0 || base.Traced == 0 {
 		t.Fatal("baseline exercised nothing")
 	}
-	for _, shards := range []int{2, 4} {
-		for _, mode := range []sim.ParallelMode{sim.ParallelOff, sim.ParallelOn} {
-			shards, mode := shards, mode
-			t.Run(fmt.Sprintf("shards=%d/mode=%v", shards, mode), func(t *testing.T) {
-				got := runStack(t, shards, mode)
-				if !reflect.DeepEqual(got.Counters, base.Counters) {
-					for k, v := range base.Counters {
-						if got.Counters[k] != v {
-							t.Errorf("counter %s = %d, want %d", k, got.Counters[k], v)
-						}
-					}
-				}
-				if got.Hist != base.Hist {
-					t.Errorf("latency histogram = %v, want %v", got.Hist, base.Hist)
-				}
-				if got.Traced != base.Traced {
-					t.Errorf("traced events = %d, want %d", got.Traced, base.Traced)
-				}
-				if !reflect.DeepEqual(got.Events, base.Events) {
-					t.Error("trace ring contents differ")
-				}
-				if !reflect.DeepEqual(got.AppLogs, base.AppLogs) {
-					t.Error("application logs differ")
-				}
-				if !reflect.DeepEqual(got.Replies, base.Replies) ||
-					!reflect.DeepEqual(got.Echoed, base.Echoed) {
-					t.Errorf("per-tile reply/echo counts differ: %v/%v want %v/%v",
-						got.Replies, got.Echoed, base.Replies, base.Echoed)
-				}
-			})
+	got := runStack(t)
+	if !reflect.DeepEqual(got.Counters, base.Counters) {
+		for k, v := range base.Counters {
+			if got.Counters[k] != v {
+				t.Errorf("counter %s = %d, want %d", k, got.Counters[k], v)
+			}
 		}
+	}
+	if got.Hist != base.Hist {
+		t.Errorf("latency histogram = %v, want %v", got.Hist, base.Hist)
+	}
+	if got.Traced != base.Traced {
+		t.Errorf("traced events = %d, want %d", got.Traced, base.Traced)
+	}
+	if !reflect.DeepEqual(got.Events, base.Events) {
+		t.Error("trace ring contents differ")
+	}
+	if !reflect.DeepEqual(got.AppLogs, base.AppLogs) {
+		t.Error("application logs differ")
+	}
+	if !reflect.DeepEqual(got.Replies, base.Replies) ||
+		!reflect.DeepEqual(got.Echoed, base.Echoed) {
+		t.Errorf("per-tile reply/echo counts differ: %v/%v want %v/%v",
+			got.Replies, got.Echoed, base.Replies, base.Echoed)
+	}
+}
+
+// TestTraceEgressBeforeIngress pins the trace ring's reading order: monitors
+// record egress verdicts during the tick phase (the shell's sends) and
+// ingress verdicts during the commit phase (NoC ejections), so within every
+// cycle the egress events precede the ingress events.
+func TestTraceEgressBeforeIngress(t *testing.T) {
+	snap := runStack(t)
+	if uint64(len(snap.Events)) != snap.Traced {
+		t.Fatalf("ring evicted events (%d kept of %d); enlarge it", len(snap.Events), snap.Traced)
+	}
+	mixed := 0
+	for i := 0; i < len(snap.Events); {
+		c := snap.Events[i].Cycle
+		ingress := false
+		egress := false
+		for ; i < len(snap.Events) && snap.Events[i].Cycle == c; i++ {
+			switch ev := snap.Events[i]; {
+			case ev.Dir == trace.Ingress:
+				ingress = true
+			case ingress:
+				t.Fatalf("cycle %d: egress event %+v recorded after an ingress event", c, ev)
+			default:
+				egress = true
+			}
+		}
+		if i < len(snap.Events) && snap.Events[i].Cycle < c {
+			t.Fatalf("ring goes back in time: cycle %d after %d", snap.Events[i].Cycle, c)
+		}
+		if egress && ingress {
+			mixed++
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("no cycle recorded both egress and ingress events; the test proves nothing")
 	}
 }

@@ -14,15 +14,6 @@ import (
 // talk to it with TNetListen/TNetSend messages; it speaks the reliable
 // transport over the board's Ethernet port.
 type Service struct {
-	// The service itself only touches its own tile's state (Port, MAC
-	// queues, flow table), so it is tile-local. Note the companion wirePump
-	// ticker registered by NewService is NOT sharded — it reaches into the
-	// fabric and the transport deliver callback (which appends to outbox) —
-	// so a board running the network service always falls back to serial
-	// ticking; the marker records that the Service accelerator is not what
-	// forces it.
-	accel.TileLocalMarker
-
 	node netsim.NodeID
 	tr   *Transport
 

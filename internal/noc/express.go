@@ -9,9 +9,8 @@ import "apiary/internal/sim"
 // analytically known arrival cycle. The bypass is behaviour-preserving, not
 // approximate: every counter, link tally, telemetry view, span stamp and
 // delivery cycle equals the per-flit simulation bit for bit (the
-// express-differential tests prove it across serial/parallel × skip × shard
-// configurations), because an uncontended dimension-ordered flight is fully
-// deterministic.
+// express-differential tests prove it with idle-skip on and off), because
+// an uncontended dimension-ordered flight is fully deterministic.
 //
 // Timing model (t0 = virtual injection cycle of the head flit, F = flits,
 // h = hops, R0..Rh the route's routers, Pj the output port of Rj):
@@ -92,21 +91,16 @@ func (n *Network) expressCutoff() sim.Cycle {
 // (written only between cycles or merged at commit):
 //
 //   - n.inflight == 1 and ni.queued == 1: the candidate is the only packet
-//     the last commit knew about, and it is ours. A packet Sent during
-//     *this* tick phase from our own shard shows up in ni.shard.inflight
-//     (tick-phase Sends are tile-local, so they stage into our shard);
-//     one Sent from another shard is caught by Commit's confirmation.
+//     the last commit knew about, and it is ours. A packet Sent earlier in
+//     *this* tick phase shows up in n.stage.inflight; one Sent later is
+//     caught by Commit's confirmation.
 //   - no open fault window anywhere (faultMaxAll) and no armed corruption
 //     (armedFlips): a bypassed flight must be fault-free.
 //
 // At most one NI per cycle can pass — any second candidate either raises
-// n.inflight above 1 or trips the shard check. Those exclusive conditions
-// are evaluated first so that express.req (written by the one NI that
-// passes them) is never even read by another worker in the same cycle:
-// staging is race-free under the parallel tick phase, not just logically
-// single-winner.
+// n.inflight above 1 or finds express.req already set.
 func (n *Network) expressEligible(ni *NetworkInterface, now sim.Cycle) bool {
-	if ni.queued != 1 || n.inflight != 1 || ni.shard.inflight != 0 {
+	if ni.queued != 1 || n.inflight != 1 || n.stage.inflight != 0 {
 		return false
 	}
 	x := &n.express
@@ -114,26 +108,8 @@ func (n *Network) expressEligible(ni *NetworkInterface, now sim.Cycle) bool {
 		now >= n.faultMaxAll && n.armedFlips == 0
 }
 
-// totalBusy and totalQueuedNIs sum the shard-local activity counters; valid
-// on the main goroutine in the commit phase.
-func (n *Network) totalBusy() int {
-	b := 0
-	for _, sh := range n.shards {
-		b += sh.busyTiles
-	}
-	return b
-}
-
-func (n *Network) totalQueuedNIs() int {
-	q := 0
-	for _, sh := range n.shards {
-		q += sh.queuedNIs
-	}
-	return q
-}
-
 // expressCommit is the bypass's per-cycle commit hook, called by
-// Network.Commit after the credit/handoff/counter passes (so the global
+// Network.Commit after the credit and counter passes (so the global
 // activity picture is settled) and before the ejection pass (so an express
 // arrival's staged ejection delivers this cycle, exactly like a per-flit
 // tail ejection staged during the tick phase).
@@ -144,10 +120,10 @@ func (n *Network) expressCommit(now sim.Cycle) {
 		x.req = nil
 		// Confirm the network really is empty but for the candidate. The
 		// eligibility pre-check ran on possibly stale tick-phase state;
-		// anything that slipped in — a cross-shard Send, a flit somewhere —
+		// anything that slipped in — a later Send, a flit somewhere —
 		// fails the confirmation and the head injection happens here
 		// instead, bit-identical to the NI.tick injection it displaced.
-		if n.totalBusy() == 0 && n.totalQueuedNIs() == 1 && n.inflight == 1 {
+		if n.busyTiles == 0 && n.queuedNIs == 1 && n.inflight == 1 {
 			n.activateExpress(ni, v, now)
 		} else {
 			n.expressFallback(ni, v, now)
@@ -162,7 +138,7 @@ func (n *Network) expressCommit(now sim.Cycle) {
 		// (new queued packet, possibly an injected flit at another tile)
 		// breaks it; convert the flight back to per-flit state as of the
 		// end of this cycle and let the next tick arbitrate for real.
-		if n.inflight != 1 || n.totalQueuedNIs() != 0 || n.totalBusy() != 0 {
+		if n.inflight != 1 || n.queuedNIs != 0 || n.busyTiles != 0 {
 			n.materializeExpress(now)
 		}
 		return
@@ -176,8 +152,7 @@ func (n *Network) expressCommit(now sim.Cycle) {
 	if sp := x.pkt.span; sp != nil {
 		n.expressSpanHops(sp, x.arrive)
 	}
-	dr := &n.routers[x.tiles[x.h]]
-	dr.shard.ejections = append(dr.shard.ejections, ejection{&n.nis[dr.tile], x.pkt})
+	n.stage.ejections = append(n.stage.ejections, ejection{&n.nis[x.tiles[x.h]], x.pkt})
 	x.active = false
 	x.pkt = nil
 	x.ni = nil
@@ -220,7 +195,7 @@ func (n *Network) activateExpress(ni *NetworkInterface, v VCID, now sim.Cycle) {
 	ni.injQ[v] = q[:len(q)-1]
 	ni.queued--
 	if ni.queued == 0 {
-		ni.shard.queuedNIs--
+		n.queuedNIs--
 	}
 	n.cExpressHits.Inc()
 	n.engine.ScheduleNoHandle(x.arrive, n.expressWakeFn)
@@ -240,7 +215,7 @@ func (n *Network) expressFallback(ni *NetworkInterface, v VCID, now sim.Cycle) {
 		ni.injQ[v] = q[:len(q)-1]
 		ni.queued--
 		if ni.queued == 0 {
-			ni.shard.queuedNIs--
+			n.queuedNIs--
 		}
 	} else {
 		ni.flitsLeft[v] = pkt.NumFlits - 1
@@ -372,7 +347,6 @@ func (n *Network) materializeExpress(c sim.Cycle) {
 			continue // already ejected
 		}
 		tile := int(x.tiles[j])
-		r := &n.routers[tile]
 		in, out := x.hopPorts(j)
 		pv := int(in)*NumVCs + int(x.vc)
 		ivx := tile*pvCount + pv
@@ -384,7 +358,7 @@ func (n *Network) materializeExpress(c sim.Cycle) {
 		s.headAge[ivx] = c
 		occ := s.occ[tile]
 		if occ == 0 {
-			r.shard.busyTiles++
+			n.busyTiles++
 		}
 		s.occ[tile] = occ | 1<<uint(pv)
 		if i >= 1 {
@@ -431,7 +405,7 @@ func (n *Network) materializeExpress(c sim.Cycle) {
 		ni.flitsLeft[x.vc] = x.F - injected
 		ni.queued++
 		if ni.queued == 1 {
-			ni.shard.queuedNIs++
+			n.queuedNIs++
 		}
 	}
 	n.cExpressMat.Inc()

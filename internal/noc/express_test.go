@@ -33,14 +33,12 @@ func (s *sampleAll) Complete(sp *Span) {
 // fault injections mid-flight, armed corruptions, self-sends and VC0
 // management traffic. Returns the full observable snapshot plus every
 // sampled span.
-func runSparse(t *testing.T, seed uint64, shards int, mode sim.ParallelMode, idleSkip, noExpress bool) (nocSnapshot, []string) {
+func runSparse(t *testing.T, seed uint64, bands int, idleSkip, noExpress bool) (nocSnapshot, []string) {
 	t.Helper()
 	e := sim.NewEngine(seed)
-	defer e.Close()
 	e.SetIdleSkip(idleSkip)
 	st := sim.NewStats()
-	n := NewNetwork(e, st, Config{Dims: Dims{8, 8}, Shards: shards, NoExpress: noExpress})
-	e.SetParallel(mode)
+	n := newBandedNetwork(e, st, Config{Dims: Dims{8, 8}, NoExpress: noExpress}, bands)
 	rec := &sampleAll{}
 	n.SetSpanSampler(rec)
 
@@ -161,8 +159,7 @@ func runSparse(t *testing.T, seed uint64, shards int, mode sim.ParallelMode, idl
 
 	e.Run(cyc)
 	if !e.RunUntil(n.Quiescent, 100000) {
-		t.Fatalf("mesh did not quiesce (shards=%d mode=%v skip=%v noExpress=%v)",
-			shards, mode, idleSkip, noExpress)
+		t.Fatalf("mesh did not quiesce (bands=%d skip=%v noExpress=%v)", bands, idleSkip, noExpress)
 	}
 	if e.Now() < 2*cyc {
 		e.Run(2*cyc - e.Now())
@@ -196,12 +193,12 @@ func stripExpressMeta(s nocSnapshot) nocSnapshot {
 // (event-phase and same-NI), mid-flight faults and armed corruptions, an
 // express-on run is bit-exact with express-off — every counter, latency
 // distribution, delivery record, per-link flit count and per-hop span stamp
-// — across serial/parallel, shard counts and idle-skip.
+// — with the mesh ticked as 1, 2, 4 or 8 row bands and idle-skip off and on.
 func TestExpressDifferential(t *testing.T) {
 	for _, seed := range []uint64{3, 41} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			base, baseSpans := runSparse(t, seed, 1, sim.ParallelOff, false, true)
+			base, baseSpans := runSparse(t, seed, 1, false, true)
 			if base.CreditViolation != "" {
 				t.Fatalf("credit invariant (baseline): %s", base.CreditViolation)
 			}
@@ -219,30 +216,28 @@ func TestExpressDifferential(t *testing.T) {
 			}
 			baseStripped := stripExpressMeta(base)
 
-			for _, shards := range []int{1, 2, 4, 8} {
-				for _, mode := range []sim.ParallelMode{sim.ParallelOff, sim.ParallelOn} {
-					for _, skip := range []bool{false, true} {
-						shards, mode, skip := shards, mode, skip
-						name := fmt.Sprintf("shards=%d/mode=%v/skip=%v", shards, mode, skip)
-						t.Run(name, func(t *testing.T) {
-							got, gotSpans := runSparse(t, seed, shards, mode, skip, false)
-							if got.Counters["noc.express_hits"] == 0 {
-								t.Error("express never activated; the differential proves nothing")
+			for _, bands := range []int{1, 2, 4, 8} {
+				for _, skip := range []bool{false, true} {
+					bands, skip := bands, skip
+					name := fmt.Sprintf("shards=%d/mode=%d/skip=%v", bands, serialMode, skip)
+					t.Run(name, func(t *testing.T) {
+						got, gotSpans := runSparse(t, seed, bands, skip, false)
+						if got.Counters["noc.express_hits"] == 0 {
+							t.Error("express never activated; the differential proves nothing")
+						}
+						if got.Counters["noc.express_materialized"] == 0 {
+							t.Error("no flight materialized; mid-flight cases not exercised")
+						}
+						diffSnapshots(t, baseStripped, stripExpressMeta(got))
+						if len(gotSpans) != len(baseSpans) {
+							t.Fatalf("spans: got %d, want %d", len(gotSpans), len(baseSpans))
+						}
+						for i := range baseSpans {
+							if gotSpans[i] != baseSpans[i] {
+								t.Errorf("span[%d]:\n got %s\nwant %s", i, gotSpans[i], baseSpans[i])
 							}
-							if got.Counters["noc.express_materialized"] == 0 {
-								t.Error("no flight materialized; mid-flight cases not exercised")
-							}
-							diffSnapshots(t, baseStripped, stripExpressMeta(got))
-							if len(gotSpans) != len(baseSpans) {
-								t.Fatalf("spans: got %d, want %d", len(gotSpans), len(baseSpans))
-							}
-							for i := range baseSpans {
-								if gotSpans[i] != baseSpans[i] {
-									t.Errorf("span[%d]:\n got %s\nwant %s", i, gotSpans[i], baseSpans[i])
-								}
-							}
-						})
-					}
+						}
+					})
 				}
 			}
 		})
@@ -254,9 +249,8 @@ func TestExpressDifferential(t *testing.T) {
 // window closes bypassing resumes.
 func TestExpressChaosDisablesBypass(t *testing.T) {
 	e := sim.NewEngine(9)
-	defer e.Close()
 	st := sim.NewStats()
-	n := NewNetwork(e, st, Config{Dims: Dims{4, 4}, Shards: 1})
+	n := NewNetwork(e, st, Config{Dims: Dims{4, 4}})
 	hits := st.Counter("noc.express_hits")
 	n.NI(0).SetDeliver(func(*msg.Message, sim.Cycle) {})
 	n.NI(15).SetDeliver(func(*msg.Message, sim.Cycle) {})
@@ -285,47 +279,14 @@ func TestExpressChaosDisablesBypass(t *testing.T) {
 	}
 }
 
-// TestExpressShardValidation pins the shard-divisor contract at the Config
-// boundary: explicit counts that do not divide the mesh height are rejected
-// with an actionable message, and auto (0) always resolves to a divisor.
-func TestExpressShardValidation(t *testing.T) {
-	if _, err := validShards(3, 8, 8); err == nil {
-		t.Fatal("Shards=3 on H=8 accepted; want divisor error")
-	} else if got := err.Error(); got == "" {
-		t.Fatal("empty error message")
-	}
-	for _, c := range []struct{ req, h, procs, want int }{
-		{0, 8, 3, 2},  // auto: largest divisor of 8 ≤ 3
-		{0, 8, 16, 8}, // auto clamps to H
-		{8, 8, 1, 8},  // explicit divisor accepted regardless of procs
-		{16, 8, 8, 8}, // clamped to H, which divides
-		{-2, 8, 8, 1}, // negative clamps to 1
-	} {
-		got, err := validShards(c.req, c.h, c.procs)
-		if err != nil {
-			t.Fatalf("validShards(%d,%d,%d): %v", c.req, c.h, c.procs, err)
-		}
-		if got != c.want {
-			t.Fatalf("validShards(%d,%d,%d) = %d, want %d", c.req, c.h, c.procs, got, c.want)
-		}
-	}
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("NewNetwork accepted a non-divisor shard count")
-		}
-	}()
-	NewNetwork(sim.NewEngine(1), sim.NewStats(), Config{Dims: Dims{4, 6}, Shards: 4})
-}
-
 // TestExpressSteadyStateAllocs is the hot-loop allocation guard for the
 // bypass: a ping-pong chain of bypassed flights — activation, pooled
 // arrival wake-up, settlement, ejection, reply Send — runs allocation-free
 // once warm.
 func TestExpressSteadyStateAllocs(t *testing.T) {
 	e := sim.NewEngine(5)
-	defer e.Close()
 	st := sim.NewStats()
-	n := NewNetwork(e, st, Config{Dims: Dims{4, 4}, Shards: 1})
+	n := NewNetwork(e, st, Config{Dims: Dims{4, 4}})
 	hits := st.Counter("noc.express_hits")
 
 	// One message object bounces forever between tiles 0 and 15: the

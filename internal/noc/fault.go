@@ -11,9 +11,8 @@ const NumPorts = numPorts
 
 // This file is the NoC's fault-injection surface (internal/fault drives it).
 // All three hooks write router-private fields and must be called between
-// cycles on the main goroutine (engine events); the fields are read — and
-// the one-shot flip arm cleared — only by the owning router's own tick, so
-// injected behaviour is identical under serial and sharded ticking.
+// cycles (engine events); the fields are read — and the one-shot flip arm
+// cleared — only by the owning router's own tick.
 
 // StallLink suppresses all flit forwarding through tile t's output port p
 // until the given cycle. Credits are not consumed while stalled, so a
@@ -80,7 +79,7 @@ func (n *Network) CorruptNext(t msg.TileID, p Port) {
 		// armedFlips counts distinct armed (router, port) one-shots so the
 		// express bypass knows when any corruption is pending; re-arming an
 		// already-armed port is idempotent there too. The counter is
-		// decremented at commit when maybeFlip fires (staged per shard).
+		// decremented at commit when maybeFlip fires (staged).
 		n.armedFlips++
 	}
 	r.flipArm[p] = true

@@ -52,7 +52,7 @@ func FlitsFor(wireBytes int) int {
 // Flit is the unit of flow control. Flits are plain values: they live
 // directly inside the structure-of-arrays FIFO rings (see state.go) and are
 // copied, never heap-allocated, on the hot path. Only the Packet they point
-// at is an object, pooled per shard.
+// at is an object, pooled by the network.
 //
 // The struct is deliberately packed to 16 bytes — pointer plus one metadata
 // word — so a BufDepth(=4)-deep input VC ring occupies exactly one 64-byte
@@ -104,10 +104,8 @@ func init() {
 	}
 }
 
-// pktPool recycles Packet objects between injection and ejection. The
-// simulator stages ejections to the commit phase, so puts and gets are
-// always shard-local or on the main goroutine; a plain free list suffices.
-// Pooling is invisible to simulation state: every field is rewritten on
+// pktPool recycles Packet objects between injection and ejection: a plain
+// free list, since a board's engine runs on one goroutine. Pooling is invisible to simulation state: every field is rewritten on
 // allocation.
 type pktPool struct {
 	pkts []*Packet

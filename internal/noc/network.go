@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"apiary/internal/msg"
@@ -13,16 +12,6 @@ import (
 type Config struct {
 	Dims  Dims
 	Route RouteFunc // defaults to RouteXY
-
-	// Shards is the number of contiguous row bands the mesh is partitioned
-	// into for the sharded tick phase. It is clamped to [1, H] and must then
-	// divide H evenly (uneven bands are rejected with a clear error at
-	// construction). 0 means auto: the largest divisor of H not exceeding
-	// GOMAXPROCS, one band per core the worker pool can use. A single shard
-	// still stages effects — staging is what keeps serial and parallel runs
-	// (and any shard count) bit-identical — it just never engages the
-	// parallel scheduler.
-	Shards int
 
 	// NoExpress disables the express-channel bypass (express.go), forcing
 	// every packet through per-cycle flit simulation. The bypass is
@@ -43,13 +32,18 @@ type Network struct {
 	soa     nocState
 	stats   *sim.Stats
 
-	// shards are the per-row-band staging areas and packet pools, bands the
-	// consolidated per-band tickers; see shard.go and state.go. Network
-	// itself is the sim.Committer that drains the staging queues.
-	shards []*nocShard
-	bands  []bandTicker
+	// stage holds the tick phase's deferred effects; Network is both the
+	// mesh's one sim.Ticker and the sim.Committer that applies them (see
+	// commit.go). pool recycles Packets between Send and ejection.
+	stage nocStage
+	pool  pktPool
 
-	// Shared counters the commit phase merges per-shard deltas into.
+	// busyTiles counts tiles with any buffered flit; queuedNIs counts NIs
+	// with packets queued. Together they make Idle O(1).
+	busyTiles int
+	queuedNIs int
+
+	// Shared counters the commit phase merges the staged deltas into.
 	cFlitsRouted *sim.Counter
 	cPktsRouted  *sim.Counter
 	cStallNoCred *sim.Counter
@@ -82,22 +76,25 @@ type Network struct {
 	spanner SpanSampler
 }
 
-// NewNetwork builds a W×H mesh attached to the engine. One consolidated
-// ticker per row band is registered in ascending band order (covering the
-// band's routers then its NIs, each in tile order), and the network
-// registers itself as the engine's Committer for staged cross-shard
+// NewNetwork builds a W×H mesh attached to the engine. The network
+// registers itself as the engine's ticker for the whole mesh (every router,
+// then every NI, each in tile order) and as its Committer for the staged
 // effects.
 func NewNetwork(e *sim.Engine, st *sim.Stats, cfg Config) *Network {
+	n := newNetwork(e, st, cfg)
+	e.Register(n)
+	e.RegisterCommitter(n)
+	return n
+}
+
+// newNetwork builds the mesh without registering it with the engine.
+func newNetwork(e *sim.Engine, st *sim.Stats, cfg Config) *Network {
 	if cfg.Dims.W < 1 || cfg.Dims.H < 1 {
 		panic(fmt.Sprintf("noc: invalid dims %dx%d", cfg.Dims.W, cfg.Dims.H))
 	}
 	route := cfg.Route
 	if route == nil {
 		route = RouteXY
-	}
-	shards, err := validShards(cfg.Shards, cfg.Dims.H, runtime.GOMAXPROCS(0))
-	if err != nil {
-		panic(err.Error())
 	}
 	tiles := cfg.Dims.Tiles()
 	n := &Network{
@@ -138,8 +135,8 @@ func NewNetwork(e *sim.Engine, st *sim.Stats, cfg Config) *Network {
 		}
 	}
 	// NI views: injection credits live at the tail of soa.credits; the
-	// router's Local inputs return credits there directly (same tile, same
-	// shard, router ticks before its NI).
+	// router's Local inputs return credits there directly (same tile, and
+	// the router ticks before its NI).
 	for i := 0; i < tiles; i++ {
 		ni := &n.nis[i]
 		ni.tile = msg.TileID(i)
@@ -164,12 +161,26 @@ func NewNetwork(e *sim.Engine, st *sim.Stats, cfg Config) *Network {
 	n.express.tiles = make([]int32, 0, cfg.Dims.W+cfg.Dims.H)
 	n.express.ports = make([]Port, 0, cfg.Dims.W+cfg.Dims.H)
 	n.expressWakeFn = func(sim.Cycle) {}
-	n.assignShards(shards)
-	for s := range n.bands {
-		e.Register(&n.bands[s])
-	}
-	e.RegisterCommitter(n)
 	return n
+}
+
+// Idle reports whether ticking the mesh would be a no-op: no tile holds
+// buffered flits and no NI has packets queued.
+func (n *Network) Idle() bool { return n.busyTiles == 0 && n.queuedNIs == 0 }
+
+// Tick advances the mesh one cycle: every occupied router in tile order,
+// then every NI with packets queued in tile order.
+func (n *Network) Tick(now sim.Cycle) {
+	for t := range n.routers {
+		if n.soa.occ[t] != 0 {
+			n.tickRouter(&n.routers[t], now)
+		}
+	}
+	for t := range n.nis {
+		if ni := &n.nis[t]; ni.queued != 0 {
+			ni.tick(now)
+		}
+	}
 }
 
 // Dims reports the mesh dimensions.
@@ -188,8 +199,8 @@ func (n *Network) Router(t msg.TileID) *Router {
 // Quiescent reports whether no packets are queued or in flight anywhere.
 // O(1): every packet is counted from Send until its tail flit ejects, which
 // covers both NI injection queues and router buffers. Valid between cycles
-// (RunUntil conditions, tests); mid-cycle the staged per-shard deltas have
-// not merged yet.
+// (RunUntil conditions, tests); mid-cycle the staged deltas have not merged
+// yet.
 func (n *Network) Quiescent() bool { return n.inflight == 0 }
 
 // InFlight reports the number of packets between Send and ejection. Like

@@ -15,7 +15,7 @@ type DeliverFunc func(m *msg.Message, latency sim.Cycle)
 // protocol routers use between themselves; ejection reassembles and invokes
 // the delivery callback. Like Router it is a thin view: its injection
 // credits live in the network's structure-of-arrays state, and it is ticked
-// by its row band's bandTicker.
+// by Network.Tick.
 type NetworkInterface struct {
 	tile    msg.TileID
 	coord   Coord
@@ -37,21 +37,12 @@ type NetworkInterface struct {
 	// buffer occupancy).
 	injCred int
 
-	// shard is the tile's row-band staging area (shared with the tile's
-	// router); shardIdx is the band index. Assigned by Network.assignShards.
-	shard    *nocShard
-	shardIdx int
-
 	nextPktID uint64
 
 	sent      *sim.Counter
 	delivered *sim.Counter
 	latency   *sim.Histogram
 }
-
-// Shard reports the NI's row-band index. The NI shares its tile's shard:
-// injection touches only the tile's own router and the shard staging area.
-func (ni *NetworkInterface) Shard() int { return ni.shardIdx }
 
 // Tile reports the NI's tile ID.
 func (ni *NetworkInterface) Tile() msg.TileID { return ni.tile }
@@ -88,7 +79,7 @@ func (ni *NetworkInterface) Send(m *msg.Message) error {
 	}
 	vc := ClassVC(m.Type)
 	ni.nextPktID++
-	pkt := ni.shard.pool.getPacket()
+	pkt := ni.net.pool.getPacket()
 	*pkt = Packet{
 		ID:       ni.nextPktID | uint64(ni.tile)<<48,
 		Src:      ni.coord,
@@ -108,17 +99,15 @@ func (ni *NetworkInterface) Send(m *msg.Message) error {
 	ni.injQ[vc] = append(ni.injQ[vc], pkt)
 	ni.queued++
 	if ni.queued == 1 {
-		ni.shard.queuedNIs++
+		ni.net.queuedNIs++
 	}
-	// The queue itself is tile-local (Send during the tick phase can only
-	// come from this tile's shell/monitor, which share the NI's shard — so
-	// the queuedNIs transition above is shard-local too), but the in-flight
-	// count and the sent counter are network-global: stage them when inside
-	// a tick phase, mutate directly otherwise (setup code, event handlers,
-	// commit-phase delivery callbacks).
+	// The in-flight count and the sent counter are staged when inside a
+	// tick phase and mutated directly otherwise (setup code, event handlers,
+	// commit-phase delivery callbacks), so the express bypass's eligibility
+	// check sees the previous commit's in-flight count.
 	if ni.net.engine.InTickPhase() {
-		ni.shard.inflight++
-		ni.shard.sent++
+		ni.net.stage.inflight++
+		ni.net.stage.sent++
 	} else {
 		ni.net.inflight++
 		ni.sent.Inc()
@@ -126,8 +115,8 @@ func (ni *NetworkInterface) Send(m *msg.Message) error {
 	return nil
 }
 
-// tick injects up to one flit per VC per cycle, credits permitting. The
-// bandTicker only calls it with packets queued.
+// tick injects up to one flit per VC per cycle, credits permitting.
+// Network.Tick only calls it with packets queued.
 func (ni *NetworkInterface) tick(now sim.Cycle) {
 	credits := ni.net.soa.credits
 	skipVC := VCID(-1)
@@ -174,7 +163,7 @@ func (ni *NetworkInterface) tick(now sim.Cycle) {
 			ni.injQ[v] = q[:len(q)-1]
 			ni.queued--
 			if ni.queued == 0 {
-				ni.shard.queuedNIs--
+				ni.net.queuedNIs--
 			}
 		}
 	}

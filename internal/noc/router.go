@@ -13,10 +13,9 @@ const BufDepth = 4
 
 // Router is one mesh router — a thin view over the network's
 // structure-of-arrays state (state.go). It carries only identity (tile,
-// coordinate, neighbour indices), shard affinity and the cold
-// fault-injection fields; every per-cycle quantity lives in Network.soa.
-// Routers are ticked by their row band's bandTicker, not registered
-// individually.
+// coordinate, neighbour indices) and the cold fault-injection fields;
+// every per-cycle quantity lives in Network.soa. Routers are ticked by
+// Network.Tick, not registered individually.
 type Router struct {
 	Coord Coord
 	tile  int32
@@ -24,19 +23,6 @@ type Router struct {
 
 	// neighbours[p] is the tile reached through port p; -1 at mesh edges.
 	neighbours [numPorts]int32
-
-	// stageTo[p] marks links that cross a row-band boundary: handoffs
-	// through them must be staged for the commit phase when the tick phase
-	// runs on the worker pool. All other handoffs (and every handoff in a
-	// serial tick) are applied directly — bit-exact either way, because an
-	// accepted flit only becomes routable the following cycle.
-	stageTo [numPorts]bool
-
-	// shard is the staging area of the row band this router belongs to;
-	// shardIdx is the band index. Assigned by Network.assignShards before
-	// the router can ever tick.
-	shard    *nocShard
-	shardIdx int
 
 	// Fault-injection state (noc/fault.go): stallUntil/stuckUntil suppress
 	// forwarding through an output port / output VC, flipArm corrupts the
@@ -51,10 +37,6 @@ type Router struct {
 	flipAny    bool
 }
 
-// Shard reports the router's row-band index: all of a router's tick-phase
-// mutations stay within its own shard's state.
-func (r *Router) Shard() int { return r.shardIdx }
-
 // Idle reports whether ticking the router would be a no-op: with no buffered
 // flits there is nothing to route, grant or forward.
 func (r *Router) Idle() bool { return r.net.soa.occ[r.tile] == 0 }
@@ -65,7 +47,7 @@ func (r *Router) bufLen(p Port, vc VCID) int {
 	return int(r.net.soa.fifoLen[int(r.tile)*pvCount+int(p)*NumVCs+int(vc)])
 }
 
-// tickRouter advances router r one cycle. The caller (bandTicker.Tick) has
+// tickRouter advances router r one cycle. The caller (Network.Tick) has
 // already established occ != 0, so only occupied VCs — single bitset
 // iteration — are visited.
 //
@@ -114,7 +96,7 @@ func (n *Network) tickRouter(r *Router, now sim.Cycle) {
 			// Owner busy: count this cycle inline, then park the input in a
 			// VC-wait streak — releaseVC settles the remaining cycles when
 			// the output frees.
-			r.shard.stallNoVC++
+			n.stage.stallNoVC++
 			s.vcBlocked[r.tile] |= 1 << uint(pv)
 			s.vcBlockStart[ivx] = now
 		}
@@ -247,7 +229,7 @@ func (n *Network) trySend(r *Router, p Port, vc VCID, outP Port, now sim.Cycle) 
 	if now < r.faultMax && (now < r.stallUntil[outP] || now < r.stuckUntil[outP][vc]) {
 		// Injected link stall / stuck VC: the flit stays buffered and no
 		// credit moves, so the fault is time-bounded and drains cleanly.
-		r.shard.stallFault++
+		n.stage.stallFault++
 		return false
 	}
 	ovx := int(r.tile)*pvCount + int(outP)*NumVCs + int(vc)
@@ -258,20 +240,19 @@ func (n *Network) trySend(r *Router, p Port, vc VCID, outP Port, now sim.Cycle) 
 		// has no buffer limit (reassembly happens immediately). The packet's
 		// delivery — the NI callback, the shared latency histogram,
 		// in-flight accounting — is staged for the commit phase, where
-		// Network.Commit replays ejections in global tile order whichever
-		// mode ticked.
+		// Network.Commit replays ejections in tile order.
 		recordDepart(head, outP, now)
 		r.maybeFlip(head, outP)
 		f := n.popFlit(r, pv, ivx)
-		r.shard.flitsRouted++
+		n.stage.flitsRouted++
 		s.linkFlits[int(r.tile)*int(numPorts)+int(Local)]++
 		if f.Tail() {
 			n.releaseVC(r, pv, ivx, ovx, outP, now)
-			r.shard.pktsRouted++
+			n.stage.pktsRouted++
 			// Wormhole ordering makes the tail the packet's last flit; the
 			// packet stays alive in the staging queue until its commit-phase
 			// eject.
-			r.shard.ejections = append(r.shard.ejections, ejection{&n.nis[r.tile], f.Pkt})
+			n.stage.ejections = append(n.stage.ejections, ejection{&n.nis[r.tile], f.Pkt})
 		}
 		return true
 	}
@@ -287,7 +268,7 @@ func (n *Network) trySend(r *Router, p Port, vc VCID, outP Port, now sim.Cycle) 
 		// cycles. While any fault window is open on this router, stay in
 		// per-cycle counting so fault-suppressed cycles keep counting
 		// stall_fault, not stall_no_credit.
-		r.shard.stallNoCred++
+		n.stage.stallNoCred++
 		if now >= r.faultMax {
 			s.sendable[r.tile] &^= 1 << uint(int(outP)*NumVCs+int(vc))
 			s.credBlockStart[ovx] = now
@@ -301,77 +282,68 @@ func (n *Network) trySend(r *Router, p Port, vc VCID, outP Port, now sim.Cycle) 
 	tail := head.Tail()
 	// Hand the flit to the neighbour. A freshly accepted flit only becomes
 	// routable the following cycle (arrivedAt guard) and at most one flit
-	// crosses a link per cycle, so accepting it immediately is bit-exact
-	// with accepting it at commit — the only constraint is memory safety:
-	// when the tick phase runs on the worker pool, handoffs crossing a
-	// row-band boundary must be staged for Network.Commit instead of
-	// touching another worker's band.
-	if r.stageTo[outP] && n.engine.InParallelTick() {
-		f := n.popFlit(r, pv, ivx)
-		r.shard.handoffs = append(r.shard.handoffs, handoff{next, oppPort[outP], vc, f})
-	} else {
-		// Direct delivery: move the flit ring-to-ring in place — one copy,
-		// reusing the head pointer already loaded — instead of popFlit +
-		// acceptFlit's two copies and a second head lookup. Same effects in
-		// the same order: source dequeue with credit return and occupancy
-		// upkeep, then destination enqueue with arrival stamp and span hop.
-		nh := (s.fifoHead[ivx] + 1) & (BufDepth - 1)
-		s.fifoHead[ivx] = nh
-		l := s.fifoLen[ivx] - 1
-		s.fifoLen[ivx] = l
-		if l != 0 {
-			s.headAge[ivx] = ring[nh&(BufDepth-1)].arrived()
+	// crosses a link per cycle, so accepting it immediately is exactly as
+	// if it were latched at the end of the cycle. The flit moves
+	// ring-to-ring in place — one copy, reusing the head pointer already
+	// loaded — with popFlit's and acceptFlit's effects in the same order:
+	// source dequeue with credit return and occupancy upkeep, then
+	// destination enqueue with arrival stamp and span hop.
+	nh := (s.fifoHead[ivx] + 1) & (BufDepth - 1)
+	s.fifoHead[ivx] = nh
+	l := s.fifoLen[ivx] - 1
+	s.fifoLen[ivx] = l
+	if l != 0 {
+		s.headAge[ivx] = ring[nh&(BufDepth-1)].arrived()
+	}
+	if ct := s.creditTo[ivx]; ct >= 0 {
+		n.stage.credits = append(n.stage.credits, ct)
+	} else if ct != -1 {
+		s.credits[-(ct+2)]++
+	}
+	if l == 0 {
+		occ := s.occ[r.tile] &^ (1 << uint(pv))
+		s.occ[r.tile] = occ
+		if occ == 0 {
+			n.busyTiles--
 		}
-		if ct := s.creditTo[ivx]; ct >= 0 {
-			r.shard.credits = append(r.shard.credits, ct)
-		} else if ct != -1 {
-			s.credits[-(ct+2)]++
+	}
+	nr := &n.routers[next]
+	dpv := int(oppPort[outP])*NumVCs + int(vc)
+	divx := int(next)*pvCount + dpv
+	dl := s.fifoLen[divx]
+	if dl >= BufDepth {
+		panic("noc: input buffer overflow (credit protocol violated)")
+	}
+	dring := s.fifo[divx*BufDepth:][:BufDepth]
+	dst := &dring[(s.fifoHead[divx]+dl)&(BufDepth-1)]
+	*dst = *head
+	dst.setArrived(now)
+	head.Pkt = nil
+	s.fifoLen[divx] = dl + 1
+	if dl == 0 {
+		s.headAge[divx] = now
+		occ := s.occ[next]
+		if occ == 0 {
+			n.busyTiles++
 		}
-		if l == 0 {
-			occ := s.occ[r.tile] &^ (1 << uint(pv))
-			s.occ[r.tile] = occ
-			if occ == 0 {
-				r.shard.busyTiles--
-			}
+		s.occ[next] = occ | 1<<uint(dpv)
+		// Mirror acceptFlit: a granted input refilling from empty
+		// rejoins the neighbour's sendable set.
+		if dstSt := s.inState[divx]; dstSt&inGranted != 0 {
+			s.sendable[next] |= 1 << uint(int(dstSt&inPortMask)*NumVCs+int(vc))
 		}
-		nr := &n.routers[next]
-		dpv := int(oppPort[outP])*NumVCs + int(vc)
-		divx := int(next)*pvCount + dpv
-		dl := s.fifoLen[divx]
-		if dl >= BufDepth {
-			panic("noc: input buffer overflow (credit protocol violated)")
-		}
-		dring := s.fifo[divx*BufDepth:][:BufDepth]
-		dst := &dring[(s.fifoHead[divx]+dl)&(BufDepth-1)]
-		*dst = *head
-		dst.setArrived(now)
-		head.Pkt = nil
-		s.fifoLen[divx] = dl + 1
-		if dl == 0 {
-			s.headAge[divx] = now
-			occ := s.occ[next]
-			if occ == 0 {
-				nr.shard.busyTiles++
-			}
-			s.occ[next] = occ | 1<<uint(dpv)
-			// Mirror acceptFlit: a granted input refilling from empty
-			// rejoins the neighbour's sendable set.
-			if dstSt := s.inState[divx]; dstSt&inGranted != 0 {
-				s.sendable[next] |= 1 << uint(int(dstSt&inPortMask)*NumVCs+int(vc))
-			}
-		}
-		if dst.Head() {
-			if sp := dst.Pkt.span; sp != nil {
-				sp.Hops = append(sp.Hops, SpanHop{At: nr.Coord, In: oppPort[outP], Arrive: now})
-			}
+	}
+	if dst.Head() {
+		if sp := dst.Pkt.span; sp != nil {
+			sp.Hops = append(sp.Hops, SpanHop{At: nr.Coord, In: oppPort[outP], Arrive: now})
 		}
 	}
 	s.credits[ovx]--
-	r.shard.flitsRouted++
+	n.stage.flitsRouted++
 	s.linkFlits[int(r.tile)*int(numPorts)+int(outP)]++
 	if tail {
 		n.releaseVC(r, pv, ivx, ovx, outP, now)
-		r.shard.pktsRouted++
+		n.stage.pktsRouted++
 	}
 	return true
 }
@@ -399,8 +371,8 @@ func (r *Router) maybeFlip(f *Flit, outP Port) {
 	r.flipArm[outP] = false
 	r.refreshFaultSummary()
 	corrupt(f.Pkt.Msg)
-	r.shard.corrupted++
-	r.shard.flipsFired++
+	r.net.stage.corrupted++
+	r.net.stage.flipsFired++
 }
 
 // refreshFaultSummary recomputes the faultMax/flipAny fast-path summaries

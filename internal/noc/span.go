@@ -10,14 +10,8 @@ import (
 // timing (VC-allocation wait, switch wait, link traversal). Spans are pure
 // observation — they never influence routing, arbitration or flow control —
 // so a run with sampling enabled is bit-identical to one without it.
-//
-// Determinism under the sharded tick phase follows from ownership: a span
-// hangs off its packet, and at any instant exactly one router (or NI) holds
-// the packet's head flit, so only that tile's shard worker ever touches the
-// span during a tick phase. Cross-shard handoffs and ejections happen in the
-// commit phase on the main goroutine, in global tile order — which is also
-// where completed spans reach the SpanSampler, so the recorder observes them
-// in the same order whichever mode ran the tick phase.
+// Ejections happen in the commit phase in tile order, which is also where
+// completed spans reach the SpanSampler.
 
 // SpanHop records one router traversal of a sampled packet's head flit.
 // The stage boundaries mirror the router pipeline: the flit is buffered at
@@ -67,11 +61,11 @@ func (s *Span) InjectWait() sim.Cycle {
 }
 
 // SpanSampler is the flight recorder's hook into the NoC. Sample is
-// consulted once per Send (possibly from a shard worker inside the tick
-// phase) and must be a read-only, deterministic function of its arguments
-// and of state that only changes in the commit phase. Complete receives each
-// finished span during the commit phase, on the main goroutine, in global
-// tile order of the ejecting NI — it may mutate freely.
+// consulted once per Send (possibly inside the tick phase) and must be a
+// read-only, deterministic function of its arguments and of state that only
+// changes in the commit phase. Complete receives each finished span during
+// the commit phase, in tile order of the ejecting NI — it may mutate
+// freely.
 type SpanSampler interface {
 	Sample(src msg.TileID, pktID uint64, m *msg.Message) bool
 	Complete(sp *Span)

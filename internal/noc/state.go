@@ -90,7 +90,7 @@ type nocState struct {
 	// sign-encoded so one load decides both the index and the return path:
 	// ct >= 0 is an inter-router credit staged for commit; ct == -1 marks an
 	// unwired mesh-edge input; ct <= -2 is an NI-injection credit at index
-	// -(ct+2), returned directly (same tile, same shard).
+	// -(ct+2), returned directly (same tile).
 	creditTo []int32
 
 	// credits counts free downstream slots per output VC (router outputs in
@@ -127,9 +127,9 @@ type nocState struct {
 	// the deferred stall accounting (noStreak = none): a blocked candidate
 	// is counted once inline when it blocks, and the cycles start+1..end
 	// are added arithmetically when the streak ends. Flush points — commit
-	// credit application, releaseVC, fault injection — are deterministic
-	// and mode-independent, so counter totals stay bit-identical across
-	// serial/parallel/skip runs and equal to per-cycle counting.
+	// credit application, releaseVC, fault injection — are deterministic,
+	// so counter totals stay bit-identical with idle-skip on or off and
+	// equal to per-cycle counting.
 	credBlockStart []sim.Cycle
 	vcBlockStart   []sim.Cycle
 
@@ -208,7 +208,7 @@ func (n *Network) acceptFlit(r *Router, p Port, vc VCID, f Flit, now sim.Cycle) 
 		s.headAge[ivx] = now
 		occ := s.occ[r.tile]
 		if occ == 0 {
-			r.shard.busyTiles++
+			n.busyTiles++
 		}
 		s.occ[r.tile] = occ | 1<<uint(pv)
 		// A granted input refilling from empty rejoins stage 2's sendable
@@ -227,12 +227,10 @@ func (n *Network) acceptFlit(r *Router, p Port, vc VCID, f Flit, now sim.Cycle) 
 }
 
 // popFlit dequeues the head flit of input VC ivx (pv = ivx's port/vc bits),
-// keeping the occupancy bitset and the shard's busy-tile count in sync, and
-// returns the freed buffer slot's credit upstream. Injection credits go back
-// directly — the NI lives on this tile, in this shard, and ticks after its
-// router, so the direct return reproduces the serial order exactly.
-// Inter-router credits are staged for the commit phase: the upstream output
-// VC may belong to another shard, and even shard-locally the uniform
+// keeping the occupancy bitset and the busy-tile count in sync, and returns
+// the freed buffer slot's credit upstream. Injection credits go back
+// directly — the NI lives on this tile and ticks after its router.
+// Inter-router credits are staged for the commit phase: the uniform
 // end-of-cycle return keeps credit timing independent of tick order.
 func (n *Network) popFlit(r *Router, pv, ivx int) Flit {
 	s := &n.soa
@@ -247,7 +245,7 @@ func (n *Network) popFlit(r *Router, pv, ivx int) Flit {
 		s.headAge[ivx] = s.fifo[ivx*BufDepth+int((h+1)&(BufDepth-1))].arrived()
 	}
 	if ct := s.creditTo[ivx]; ct >= 0 {
-		r.shard.credits = append(r.shard.credits, ct)
+		n.stage.credits = append(n.stage.credits, ct)
 	} else if ct != -1 {
 		s.credits[-(ct+2)]++
 	}
@@ -255,7 +253,7 @@ func (n *Network) popFlit(r *Router, pv, ivx int) Flit {
 		occ := s.occ[r.tile] &^ (1 << uint(pv))
 		s.occ[r.tile] = occ
 		if occ == 0 {
-			r.shard.busyTiles--
+			n.busyTiles--
 		}
 	}
 	return f
@@ -283,51 +281,9 @@ func (n *Network) releaseVC(r *Router, pv, ivx, ovx int, outP Port, now sim.Cycl
 			if pvVC[wpv] != vc || Port(s.inState[wivx]&inPortMask) != outP {
 				continue
 			}
-			r.shard.stallNoVC += uint64(now - s.vcBlockStart[wivx])
+			n.stage.stallNoVC += uint64(now - s.vcBlockStart[wivx])
 			s.vcBlockStart[wivx] = noStreak
 			s.vcBlocked[r.tile] &^= 1 << uint(wpv)
-		}
-	}
-}
-
-// bandTicker ticks one row band of the mesh: the band's routers in tile
-// order, then its NIs in tile order. One consolidated ticker per band
-// replaces 2×tiles individual registrations; the engine's serial order
-// (band 0's routers, band 0's NIs, band 1's routers, …) equals the parallel
-// per-shard group order, which the differential tests prove bit-identical —
-// all cross-band effects are staged to the commit phase, so tick order
-// across bands is unobservable.
-type bandTicker struct {
-	net            *Network
-	shard          int
-	loTile, hiTile int32 // [loTile, hiTile)
-}
-
-func (b *bandTicker) Shard() int { return b.shard }
-
-// TickWeight reports the elementary tickers this band stands for (routers +
-// NIs), so sim.ParallelAuto's size threshold keeps measuring mesh size.
-func (b *bandTicker) TickWeight() int { return 2 * int(b.hiTile-b.loTile) }
-
-// Idle reports whether ticking the band would be a no-op: no tile holds
-// buffered flits and no NI has packets queued. O(1) via the shard's
-// busy-tile / queued-NI counters.
-func (b *bandTicker) Idle() bool {
-	sh := b.net.shards[b.shard]
-	return sh.busyTiles == 0 && sh.queuedNIs == 0
-}
-
-func (b *bandTicker) Tick(now sim.Cycle) {
-	n := b.net
-	for t := b.loTile; t < b.hiTile; t++ {
-		if n.soa.occ[t] != 0 {
-			n.tickRouter(&n.routers[t], now)
-		}
-	}
-	for t := b.loTile; t < b.hiTile; t++ {
-		ni := &n.nis[t]
-		if ni.queued != 0 {
-			ni.tick(now)
 		}
 	}
 }

@@ -23,18 +23,71 @@ type nocSnapshot struct {
 	CreditViolation string
 }
 
-// runTraffic builds an 8x8 mesh with the given shard count, parallel mode
-// and idle-skip setting, drives saturated uniform-random traffic from engine
-// events (a traffic RNG separate from the engine's), runs to quiescence and
-// snapshots the result.
-func runTraffic(t *testing.T, seed uint64, shards int, mode sim.ParallelMode, idleSkip bool) nocSnapshot {
+// serialMode is the tick mode recorded in differential case names. The
+// engine steps every ticker serially, one after another, so this is its
+// only mode; the number 2 keeps the case names stable.
+const serialMode = 2
+
+// bandTicker ticks the row band of tiles [lo, hi): its routers, then its
+// NIs, each in tile order — Network.Tick restricted to the band.
+type bandTicker struct {
+	n      *Network
+	lo, hi int
+}
+
+func (b bandTicker) Tick(now sim.Cycle) {
+	n := b.n
+	for t := b.lo; t < b.hi; t++ {
+		if n.soa.occ[t] != 0 {
+			n.tickRouter(&n.routers[t], now)
+		}
+	}
+	for t := b.lo; t < b.hi; t++ {
+		if ni := &n.nis[t]; ni.queued != 0 {
+			ni.tick(now)
+		}
+	}
+}
+
+// Idle reports whether the band holds no buffered flit and no queued NI.
+func (b bandTicker) Idle() bool {
+	for t := b.lo; t < b.hi; t++ {
+		if b.n.soa.occ[t] != 0 || b.n.nis[t].queued != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// newBandedNetwork builds the mesh like NewNetwork but, for bands > 1,
+// registers it with the engine as that many contiguous row-band tickers
+// stepped in row order instead of one mesh ticker. Band b's NIs thus tick
+// before band b+1's routers. Because every cross-tile effect of a tick
+// (credit returns, ejections, counter deltas) waits for the commit phase,
+// the split must not change any observable.
+func newBandedNetwork(e *sim.Engine, st *sim.Stats, cfg Config, bands int) *Network {
+	if bands == 1 {
+		return NewNetwork(e, st, cfg)
+	}
+	n := newNetwork(e, st, cfg)
+	w, h := cfg.Dims.W, cfg.Dims.H
+	for b := 0; b < bands; b++ {
+		e.Register(bandTicker{n: n, lo: b * h / bands * w, hi: (b + 1) * h / bands * w})
+	}
+	e.RegisterCommitter(n)
+	return n
+}
+
+// runTraffic builds an 8x8 mesh ticked as the given number of row bands,
+// with the given idle-skip setting, drives saturated uniform-random traffic
+// from engine events (a traffic RNG separate from the engine's), runs to
+// quiescence and snapshots the result.
+func runTraffic(t *testing.T, seed uint64, bands int, idleSkip bool) nocSnapshot {
 	t.Helper()
 	e := sim.NewEngine(seed)
-	defer e.Close()
 	e.SetIdleSkip(idleSkip)
 	st := sim.NewStats()
-	n := NewNetwork(e, st, Config{Dims: Dims{8, 8}, Shards: shards})
-	e.SetParallel(mode)
+	n := newBandedNetwork(e, st, Config{Dims: Dims{8, 8}}, bands)
 
 	snap := nocSnapshot{
 		Counters:  make(map[string]uint64),
@@ -50,10 +103,9 @@ func runTraffic(t *testing.T, seed uint64, shards int, mode sim.ParallelMode, id
 	}
 
 	// Injection waves: every 4 cycles an event sends a burst of random
-	// messages. Events run before the tick phase on the main goroutine, so
-	// Send takes the direct (non-staged) path in both modes; the traffic
-	// RNG keeps the engine RNG untouched and the pattern identical across
-	// configurations. Bursts of 24 msgs/4 cycles over 64 tiles keep the
+	// messages. Events run before the tick phase, so Send takes the direct
+	// (non-staged) path; the traffic RNG keeps the engine RNG untouched and
+	// the pattern identical across configurations. Bursts of 24 msgs/4 cycles over 64 tiles keep the
 	// mesh saturated (rejects from full NI queues are part of the pattern
 	// and must themselves be deterministic).
 	rng := sim.NewRNG(seed * 1234)
@@ -81,7 +133,7 @@ func runTraffic(t *testing.T, seed uint64, shards int, mode sim.ParallelMode, id
 
 	e.Run(sim.Cycle(1 + 4*waves))
 	if !e.RunUntil(n.Quiescent, 200000) {
-		t.Fatalf("mesh did not quiesce (shards=%d mode=%v skip=%v)", shards, mode, idleSkip)
+		t.Fatalf("mesh did not quiesce (bands=%d skip=%v)", bands, idleSkip)
 	}
 	// Land every configuration on the same final cycle so Now and the
 	// utilization window match regardless of how fast each drained.
@@ -103,16 +155,17 @@ func runTraffic(t *testing.T, seed uint64, shards int, mode sim.ParallelMode, id
 	return snap
 }
 
-// TestParallelDifferential is the tentpole's proof obligation: under
-// saturated random traffic on an 8x8 mesh, a parallel run is bit-exact with
-// a serial one — every noc.* counter, the latency distribution, the delivery
-// order and the per-link flit counts — for every combination of parallel
-// mode, shard count and idle-skip, across seeds.
+// TestParallelDifferential pins the two-phase cycle under saturated random
+// traffic on an 8x8 mesh: runs with the mesh ticked as 1, 2, 4 or 8 row
+// bands, with idle-skip off and on — the one-band, skip-off case repeating
+// the baseline — are bit-exact with the baseline in every noc.* counter,
+// the latency distribution, the delivery order and the per-link flit
+// counts, across seeds.
 func TestParallelDifferential(t *testing.T) {
 	for _, seed := range []uint64{7, 99, 2026} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			base := runTraffic(t, seed, 1, sim.ParallelOff, false)
+			base := runTraffic(t, seed, 1, false)
 			if base.CreditViolation != "" {
 				t.Fatalf("credit invariant (baseline): %s", base.CreditViolation)
 			}
@@ -123,16 +176,13 @@ func TestParallelDifferential(t *testing.T) {
 				t.Fatal("baseline run never stalled on credits; traffic is not saturating")
 			}
 
-			for _, shards := range []int{1, 2, 4, 8} {
-				for _, mode := range []sim.ParallelMode{sim.ParallelOff, sim.ParallelOn} {
-					for _, skip := range []bool{false, true} {
-						shards, mode, skip := shards, mode, skip
-						name := fmt.Sprintf("shards=%d/mode=%v/skip=%v", shards, mode, skip)
-						t.Run(name, func(t *testing.T) {
-							got := runTraffic(t, seed, shards, mode, skip)
-							diffSnapshots(t, base, got)
-						})
-					}
+			for _, bands := range []int{1, 2, 4, 8} {
+				for _, skip := range []bool{false, true} {
+					bands, skip := bands, skip
+					name := fmt.Sprintf("shards=%d/mode=%d/skip=%v", bands, serialMode, skip)
+					t.Run(name, func(t *testing.T) {
+						diffSnapshots(t, base, runTraffic(t, seed, bands, skip))
+					})
 				}
 			}
 		})
@@ -170,58 +220,5 @@ func diffSnapshots(t *testing.T, want, got nocSnapshot) {
 	}
 	if !reflect.DeepEqual(got.Links, want.Links) {
 		t.Errorf("link utilization differs")
-	}
-}
-
-// TestParallelEngagesOnMesh checks the auto/forced activation story against
-// a real mesh: 8x8 with forced shards engages under ParallelOn regardless of
-// CPU count, and ShardOf partitions rows contiguously.
-func TestParallelEngagesOnMesh(t *testing.T) {
-	e := sim.NewEngine(1)
-	defer e.Close()
-	st := sim.NewStats()
-	n := NewNetwork(e, st, Config{Dims: Dims{8, 8}, Shards: 4})
-	if n.NumShards() != 4 {
-		t.Fatalf("NumShards = %d, want 4", n.NumShards())
-	}
-	e.SetParallel(sim.ParallelOn)
-	if !e.ParallelActive() {
-		t.Fatal("ParallelOn not active on a fully sharded 8x8 mesh")
-	}
-	if e.NumShards() != 4 {
-		t.Fatalf("engine NumShards = %d, want 4", e.NumShards())
-	}
-	// Shards are contiguous row bands in ascending order.
-	last := 0
-	for y := 0; y < 8; y++ {
-		s := n.ShardOf(msg.TileID(y * 8))
-		if s < last || s > y/2 {
-			t.Fatalf("row %d in shard %d (last %d)", y, s, last)
-		}
-		for x := 1; x < 8; x++ {
-			if n.ShardOf(msg.TileID(y*8+x)) != s {
-				t.Fatalf("row %d not shard-uniform", y)
-			}
-		}
-		last = s
-	}
-
-	// Shard counts beyond H clamp to H; zero-config auto never exceeds H.
-	n2 := NewNetwork(sim.NewEngine(1), sim.NewStats(), Config{Dims: Dims{2, 2}, Shards: 64})
-	if n2.NumShards() != 2 {
-		t.Fatalf("clamped NumShards = %d, want 2", n2.NumShards())
-	}
-}
-
-// TestParallelRaceSaturated exists to give the race detector a workload: a
-// saturated parallel run with every staging path hot. Run via `make check`
-// (go test -race); without -race it is just a smoke test.
-func TestParallelRaceSaturated(t *testing.T) {
-	snap := runTraffic(t, 7, 8, sim.ParallelOn, true)
-	if snap.CreditViolation != "" {
-		t.Fatalf("credit invariant: %s", snap.CreditViolation)
-	}
-	if snap.Counters["noc.msgs_delivered"] == 0 {
-		t.Fatal("nothing delivered")
 	}
 }

@@ -48,13 +48,11 @@ func dumpSpan(e Entry) string {
 // flight recorder installed (every <= 0 disables it) and snapshots the
 // result. Every TRequest delivered is answered with a TReply echoing Seq, so
 // reply correlation is exercised end to end.
-func runObsTraffic(t *testing.T, every, shards int, mode sim.ParallelMode) (obsSnap, *Recorder) {
+func runObsTraffic(t *testing.T, every int) (obsSnap, *Recorder) {
 	t.Helper()
 	e := sim.NewEngine(11)
-	defer e.Close()
 	st := sim.NewStats()
-	n := noc.NewNetwork(e, st, noc.Config{Dims: noc.Dims{W: 4, H: 4}, Shards: shards})
-	e.SetParallel(mode)
+	n := noc.NewNetwork(e, st, noc.Config{Dims: noc.Dims{W: 4, H: 4}})
 	var rec *Recorder
 	if every > 0 {
 		rec = NewRecorder(every, 0)
@@ -100,7 +98,7 @@ func runObsTraffic(t *testing.T, every, shards int, mode sim.ParallelMode) (obsS
 
 	e.Run(sim.Cycle(1 + 5*waves))
 	if !e.RunUntil(n.Quiescent, 100000) {
-		t.Fatalf("mesh did not quiesce (every=%d shards=%d mode=%v)", every, shards, mode)
+		t.Fatalf("mesh did not quiesce (every=%d)", every)
 	}
 	if e.Now() < 2000 {
 		e.Run(2000 - e.Now())
@@ -127,26 +125,17 @@ func runObsTraffic(t *testing.T, every, shards int, mode sim.ParallelMode) (obsS
 // TestObsDifferential is the tentpole's proof obligation: telemetry is pure
 // observation, so counters, latency distributions and delivery order are
 // bit-identical with the recorder off, sampling 1-in-64, and sampling every
-// packet — and, for each sampling rate, identical between serial and
-// parallel runs, including the recorder contents themselves.
+// packet — and, for each sampling rate, identical across two runs,
+// including the recorder contents themselves.
 func TestObsDifferential(t *testing.T) {
-	type cfg struct {
-		every  int
-		shards int
-		mode   sim.ParallelMode
-	}
-	base, _ := runObsTraffic(t, 0, 1, sim.ParallelOff)
+	base, _ := runObsTraffic(t, 0)
 	if len(base.Delivery) == 0 {
 		t.Fatal("baseline delivered nothing; differential proves nothing")
 	}
 	spanDumps := map[int][]string{}
-	for _, c := range []cfg{
-		{0, 4, sim.ParallelOn},
-		{64, 1, sim.ParallelOff}, {64, 4, sim.ParallelOn}, {64, 2, sim.ParallelOn},
-		{1, 1, sim.ParallelOff}, {1, 4, sim.ParallelOn},
-	} {
-		got, _ := runObsTraffic(t, c.every, c.shards, c.mode)
-		label := fmt.Sprintf("every=%d shards=%d mode=%v", c.every, c.shards, c.mode)
+	for i, every := range []int{0, 64, 64, 1, 1} {
+		got, _ := runObsTraffic(t, every)
+		label := fmt.Sprintf("run %d every=%d", i, every)
 		if got.Now != base.Now {
 			t.Errorf("%s: Now=%d want %d", label, got.Now, base.Now)
 		}
@@ -159,19 +148,19 @@ func TestObsDifferential(t *testing.T) {
 		if !reflect.DeepEqual(got.Delivery, base.Delivery) {
 			t.Errorf("%s: delivery order diverges", label)
 		}
-		if c.every > 0 {
+		if every > 0 {
 			if got.Total == 0 {
 				t.Errorf("%s: recorder saw no spans", label)
 			}
 			if got.Correl == 0 {
 				t.Errorf("%s: no replies correlated", label)
 			}
-			if prev, ok := spanDumps[c.every]; ok {
+			if prev, ok := spanDumps[every]; ok {
 				if !reflect.DeepEqual(got.Spans, prev) {
-					t.Errorf("%s: span contents diverge between serial and parallel", label)
+					t.Errorf("%s: span contents diverge between runs", label)
 				}
 			} else {
-				spanDumps[c.every] = got.Spans
+				spanDumps[every] = got.Spans
 			}
 		}
 	}
@@ -181,7 +170,7 @@ func TestObsDifferential(t *testing.T) {
 // routing visits exactly manhattan+1 routers, stage cycles are non-negative
 // and ordered, and the stage decomposition never exceeds the total.
 func TestSpanShape(t *testing.T) {
-	_, rec := runObsTraffic(t, 1, 1, sim.ParallelOff)
+	_, rec := runObsTraffic(t, 1)
 	ents := rec.Entries()
 	if len(ents) == 0 {
 		t.Fatal("no spans")
@@ -218,7 +207,7 @@ func TestSpanShape(t *testing.T) {
 }
 
 func TestRecorderSamplingRate(t *testing.T) {
-	snap, rec := runObsTraffic(t, 64, 1, sim.ParallelOff)
+	snap, rec := runObsTraffic(t, 64)
 	sent := snap.Counters["noc.msgs_sent"]
 	// 1-in-64 of requests plus their correlated replies.
 	if rec.Total() > sent/8 {
@@ -260,7 +249,7 @@ func TestRecorderPendingBounded(t *testing.T) {
 }
 
 func TestSummary(t *testing.T) {
-	_, rec := runObsTraffic(t, 4, 1, sim.ParallelOff)
+	_, rec := runObsTraffic(t, 4)
 	s := rec.Summary()
 	for _, want := range []string{"flight recorder:", "p50 breakdown", "p99 breakdown", "congestion on link", "service handling"} {
 		if !strings.Contains(s, want) {
@@ -270,7 +259,7 @@ func TestSummary(t *testing.T) {
 }
 
 func TestExportChromeSpans(t *testing.T) {
-	_, rec := runObsTraffic(t, 4, 1, sim.ParallelOff)
+	_, rec := runObsTraffic(t, 4)
 	var buf bytes.Buffer
 	if err := ExportChromeSpans(&buf, rec.Entries(), 1); err != nil {
 		t.Fatal(err)
@@ -317,9 +306,8 @@ func TestExportChromeSpans(t *testing.T) {
 func runWindowed(t *testing.T, keep int) (*Windows, *noc.Network, *sim.Stats, sim.Cycle) {
 	t.Helper()
 	e := sim.NewEngine(5)
-	defer e.Close()
 	st := sim.NewStats()
-	n := noc.NewNetwork(e, st, noc.Config{Dims: noc.Dims{W: 4, H: 4}, Shards: 1})
+	n := noc.NewNetwork(e, st, noc.Config{Dims: noc.Dims{W: 4, H: 4}})
 	w := NewWindows(e, n, st, WindowConfig{Every: 100, Keep: keep})
 	tiles := n.Dims().Tiles()
 	for i := 0; i < tiles; i++ {
@@ -392,7 +380,6 @@ func TestWindowsDisabled(t *testing.T) {
 		t.Fatal("nil Windows must be inert")
 	}
 	e := sim.NewEngine(1)
-	defer e.Close()
 	st := sim.NewStats()
 	n := noc.NewNetwork(e, st, noc.Config{Dims: noc.Dims{W: 2, H: 2}})
 	if NewWindows(e, n, st, WindowConfig{Every: 0}) != nil {

@@ -9,7 +9,7 @@
 //
 // Everything here is observation only. The recorder never touches
 // simulation state, so runs with telemetry enabled are bit-identical to
-// runs without it, serial or parallel (TestObsDifferential proves this).
+// runs without it (TestObsDifferential proves this).
 package obs
 
 import (
@@ -45,11 +45,10 @@ type corrKey struct {
 // finished spans into a bounded ring and correlates replies with their
 // requests via (requester tile, seq).
 //
-// Concurrency/determinism contract (see noc.SpanSampler): Sample runs inside
-// the tick phase, possibly on shard workers, and only reads — the pending
-// table it consults is written exclusively by Complete, which the NoC calls
-// during the commit phase on the main goroutine in global tile order. The
-// ring contents are therefore identical across serial and parallel runs.
+// Determinism contract (see noc.SpanSampler): Sample may run inside the
+// tick phase and only reads — the pending table it consults is written
+// exclusively by Complete, which the NoC calls during the commit phase in
+// tile order. The ring contents are therefore identical across runs.
 type Recorder struct {
 	every   int
 	ring    []Entry

@@ -70,9 +70,9 @@ var windowCounters = []string{
 
 // Windows samples the NoC and monitor state every N cycles into a bounded
 // ring of Snapshots. It registers a self-rescheduling engine event, so
-// sampling happens on the main goroutine between cycles, after the previous
-// cycle's commit — a consistent global view, safe to combine with both
-// idle-skip (events bound the fast-forward) and the parallel scheduler.
+// sampling happens between cycles, after the previous cycle's commit — a
+// consistent global view, safe to combine with idle-skip (events bound the
+// fast-forward).
 // Like the recorder it is pure observation: no simulation state changes.
 type Windows struct {
 	net   *noc.Network

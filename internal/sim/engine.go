@@ -12,15 +12,14 @@
 // Each cycle has two phases, mirroring a flop-based design: a *tick* phase
 // in which every ticker computes (and cross-component effects are staged),
 // and a *commit* phase in which registered Committers apply staged effects
-// in registration order. The two-phase structure is what allows the tick
-// phase to run sharded across OS threads (see ShardTicker) while staying
-// bit-identical to a serial run.
+// in registration order. Staging gives flop semantics: an effect produced
+// in cycle t (a freed buffer credit, say) is visible to tickers from cycle
+// t+1 on, whatever order the tickers ran in.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
-	"runtime"
 )
 
 // Cycle is a point in simulated time, measured in clock cycles since reset.
@@ -54,62 +53,12 @@ type TickerFunc func(now Cycle)
 // Tick calls f(now).
 func (f TickerFunc) Tick(now Cycle) { f(now) }
 
-// ShardTicker is a Ticker with declared shard affinity: Shard reports the
-// index of the spatial shard whose worker may tick it during the parallel
-// tick phase, or a negative value for a ticker that is *opaque* — safe only
-// under serial ticking. One opaque ticker keeps the whole engine serial
-// (like a non-IdleTicker disables fast-forward): correctness beats speed.
-//
-// The sharded-tick contract, in addition to Ticker's: while the engine is
-// in the tick phase (InTickPhase), Tick may mutate only state owned by its
-// own shard, plus facilities documented as tick-phase safe (atomic
-// Counters, per-shard staging committed by a Committer). It must not call
-// Schedule/After, must not draw from the engine RNG, and must not Observe
-// shared Histograms. Cross-shard effects are staged and applied by a
-// Committer during the commit phase.
-type ShardTicker interface {
-	Ticker
-	Shard() int
-}
-
-// WeightedTicker is a Ticker that stands for several elementary hardware
-// blocks ticked in one call (e.g. a NoC row band covering its routers and
-// NIs). TickWeight reports how many, so ParallelAuto's size threshold keeps
-// measuring simulated-design size rather than ticker-list length. Tickers
-// without the interface weigh 1.
-type WeightedTicker interface {
-	Ticker
-	TickWeight() int
-}
-
 // Committer is implemented by subsystems that stage cross-ticker effects
-// during the tick phase and apply them afterwards. Commit runs on the main
-// goroutine after every ticker has ticked, in committer-registration order,
-// in both serial and parallel modes — so the commit order (and therefore
-// the simulation) is identical whichever mode ran the tick phase.
+// during the tick phase and apply them afterwards. Commit runs after every
+// ticker has ticked, in committer-registration order.
 type Committer interface {
 	Commit(now Cycle)
 }
-
-// ParallelMode selects how the engine schedules the tick phase.
-type ParallelMode int
-
-// Parallel modes. ParallelAuto (the default) engages the sharded tick
-// phase when every registered ticker declares a shard, more than one shard
-// is populated, the ticker count reaches AutoParallelMinTickers and the
-// process has more than one CPU. ParallelOn drops the size/CPU thresholds
-// (it still requires every ticker to be sharded — opaque tickers always
-// force serial). ParallelOff forces serial ticking.
-const (
-	ParallelAuto ParallelMode = iota
-	ParallelOn
-	ParallelOff
-)
-
-// AutoParallelMinTickers is the ParallelAuto engagement threshold: below
-// this many tickers a cycle is too cheap for barrier synchronization to pay
-// for itself (an 8x8 mesh is 128 tickers; the threshold admits 8x8 and up).
-const AutoParallelMinTickers = 128
 
 // Event is a deferred action scheduled on the engine's event queue.
 type Event struct {
@@ -180,22 +129,9 @@ type Engine struct {
 	// packet) allocate nothing per flight.
 	evPool []*Event
 
-	// Parallel tick-phase state. groups[s] holds shard s's tickers in
-	// registration order; it is rebuilt lazily (groupsDirty) after Register.
-	parMode     ParallelMode
-	groups      [][]Ticker
-	groupsDirty bool
-	numShards   int
-	tickWeight  int  // sum of ticker weights (WeightedTicker, default 1)
-	shardCap    bool // every ticker declares a non-negative shard
-	pool        *workerPool
-
-	// inTick is true while tickers run (serial or parallel); running is
-	// true inside Run/RunUntil/Step. Both guard Register. inTick is only
-	// written by the main goroutine around the worker barrier, so sharded
-	// tickers may read it (via InTickPhase) without further synchronization.
+	// inTick is true while tickers run; running is true inside
+	// Run/RunUntil. Both guard Register.
 	inTick  bool
-	parTick bool // tick phase is currently running on the worker pool
 	running bool
 }
 
@@ -203,23 +139,12 @@ type Engine struct {
 // 250 MHz is a typical frequency for FPGA datapath logic.
 const DefaultFreqMHz = 250
 
-// defaultParallel is the ParallelMode new engines start in. Process-wide so
-// harnesses (apiary-bench -parallel) can force a mode for engines built
-// deep inside experiments; safe to force either way because parallel
-// execution is bit-exact with serial.
-var defaultParallel = ParallelAuto
-
-// SetDefaultParallel sets the ParallelMode that subsequently created
-// engines start in (equivalent to calling SetParallel on each). Call before
-// building systems, not concurrently with NewEngine.
-func SetDefaultParallel(m ParallelMode) { defaultParallel = m }
-
 // NewEngine returns an engine with the given PRNG seed and a 250 MHz clock.
 // Idle fast-forward is enabled by default; it is behaviour-preserving (see
 // IdleTicker) and can be disabled with SetIdleSkip for A/B testing.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{rng: NewRNG(seed), freqMHz: DefaultFreqMHz,
-		idleCapable: true, idleSkip: true, parMode: defaultParallel}
+		idleCapable: true, idleSkip: true}
 }
 
 // SetIdleSkip enables or disables clock fast-forward across all-idle
@@ -255,8 +180,7 @@ func (e *Engine) RNG() *RNG { return e.rng }
 
 // Register adds a ticker; it will be called every cycle from the next Step
 // on. Registration order is the engine's determinism anchor: it defines the
-// serial tick order, the within-shard tick order under parallel execution,
-// and (via Committers) the order staged cross-shard effects apply — so it
+// tick order and (via Committers) the order staged effects apply — so it
 // must itself be deterministic across runs. Register panics if called while
 // a Run/RunUntil is in progress or from inside a tick phase: growing the
 // ticker list mid-run would make the tick order depend on when the ticker
@@ -272,7 +196,6 @@ func (e *Engine) Register(t Ticker) {
 		panic("sim: Register while running")
 	}
 	e.tickers = append(e.tickers, t)
-	e.groupsDirty = true
 	if it, ok := t.(IdleTicker); ok {
 		e.idlers = append(e.idlers, it)
 	} else {
@@ -296,114 +219,11 @@ func (e *Engine) RegisterCommitter(c Committer) {
 	e.committers = append(e.committers, c)
 }
 
-// SetParallel selects the tick-phase scheduling mode (see ParallelMode).
-// The default is ParallelAuto.
-func (e *Engine) SetParallel(m ParallelMode) { e.parMode = m }
-
-// ParallelActive reports whether the next tick phase would run sharded.
-// Like IdleSkip it is a pure speedup knob: a parallel run is bit-identical
-// to a serial one, which TestParallelDifferential proves over saturated
-// random traffic.
-func (e *Engine) ParallelActive() bool { return e.parallelActive() }
-
-// NumShards reports how many populated shards the engine would tick in
-// parallel (0 when any ticker is opaque).
-func (e *Engine) NumShards() int {
-	if e.groupsDirty {
-		e.refreshShards()
-	}
-	return e.numShards
-}
-
 // InTickPhase reports whether the engine is inside the tick phase of a
-// cycle (in either mode). Components with both a direct and a staged path
-// for a cross-component effect use it to pick: staged during the tick
-// phase, direct otherwise (commit phase, event handlers, setup code).
-// During a parallel tick phase the flag is written by the main goroutine
-// before the workers are released and after they finish, so workers read it
-// race-free.
+// cycle. Components with both a direct and a staged path for a
+// cross-component effect use it to pick: staged during the tick phase,
+// direct otherwise (commit phase, event handlers, setup code).
 func (e *Engine) InTickPhase() bool { return e.inTick }
-
-// InParallelTick reports whether the engine is inside a tick phase running
-// sharded on the worker pool. Sharded subsystems with both a direct and a
-// staged path for a cross-shard effect that is provably order-independent
-// (e.g. NoC link handoffs, which only become observable next cycle) use it
-// to stage only when workers are actually concurrent. The flag is written
-// by the main goroutine before the workers are released and after they
-// finish, so workers read it race-free.
-func (e *Engine) InParallelTick() bool { return e.parTick }
-
-// Close stops the engine's worker pool, if one was ever started. An engine
-// is usable without ever calling Close (the pool is spawned lazily on first
-// parallel tick); call it from tests and benchmarks that create many
-// engines to avoid accumulating idle goroutines. Using the engine after
-// Close restarts the pool on demand.
-func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.close()
-		e.pool = nil
-	}
-}
-
-// refreshShards rebuilds the per-shard ticker groups after registration
-// changes. Groups preserve registration order within a shard and are
-// ordered by ascending shard index across shards, so the serial order is
-// the concatenation of the groups.
-func (e *Engine) refreshShards() {
-	e.groupsDirty = false
-	e.shardCap = true
-	e.tickWeight = 0
-	maxShard := -1
-	for _, t := range e.tickers {
-		if wt, ok := t.(WeightedTicker); ok {
-			e.tickWeight += wt.TickWeight()
-		} else {
-			e.tickWeight++
-		}
-		st, ok := t.(ShardTicker)
-		if !ok || st.Shard() < 0 {
-			e.shardCap = false
-			e.groups = nil
-			e.numShards = 0
-			return
-		}
-		if s := st.Shard(); s > maxShard {
-			maxShard = s
-		}
-	}
-	byShard := make([][]Ticker, maxShard+1)
-	for _, t := range e.tickers {
-		s := t.(ShardTicker).Shard()
-		byShard[s] = append(byShard[s], t)
-	}
-	e.groups = e.groups[:0]
-	for _, g := range byShard {
-		if len(g) > 0 {
-			e.groups = append(e.groups, g)
-		}
-	}
-	e.numShards = len(e.groups)
-}
-
-// parallelActive decides, per the configured ParallelMode, whether the tick
-// phase runs sharded. All modes require every ticker to declare a shard and
-// at least two shards to be populated; Auto additionally requires the
-// ticker count to reach AutoParallelMinTickers and more than one CPU.
-func (e *Engine) parallelActive() bool {
-	if e.groupsDirty {
-		e.refreshShards()
-	}
-	switch e.parMode {
-	case ParallelOff:
-		return false
-	case ParallelOn:
-		return e.shardCap && e.numShards > 1
-	default:
-		return e.shardCap && e.numShards > 1 &&
-			e.tickWeight >= AutoParallelMinTickers &&
-			runtime.GOMAXPROCS(0) > 1
-	}
-}
 
 // allIdle reports whether every registered ticker is provably idle, i.e.
 // the next cycle would tick nothing and only the event queue can make
@@ -422,15 +242,8 @@ func (e *Engine) allIdle() bool {
 
 // Schedule queues fn to run at cycle `at`. Scheduling in the past (or the
 // current cycle, which has already begun) panics, because it would silently
-// break causality. Scheduling from inside a parallel tick phase panics too:
-// the event heap is not shared-safe, and a heap whose insertion order
-// depends on worker interleaving would break the seq tie-break that keeps
-// same-cycle events deterministic. (Serial tick phases may schedule freely —
-// that is what opaque tickers are for.)
+// break causality.
 func (e *Engine) Schedule(at Cycle, fn func(now Cycle)) *Event {
-	if e.parTick {
-		panic("sim: Schedule during parallel tick phase (sharded tickers must stage via a Committer)")
-	}
 	if at <= e.now && e.now != 0 {
 		panic(fmt.Sprintf("sim: Schedule at cycle %d but now is %d", at, e.now))
 	}
@@ -445,9 +258,6 @@ func (e *Engine) Schedule(at Cycle, fn func(now Cycle)) *Event {
 // and reuse the Event object after it fires. Hot paths that schedule one
 // wake-up per unit of work (and never cancel) stay allocation-free.
 func (e *Engine) ScheduleNoHandle(at Cycle, fn func(now Cycle)) {
-	if e.parTick {
-		panic("sim: Schedule during parallel tick phase (sharded tickers must stage via a Committer)")
-	}
 	if at <= e.now && e.now != 0 {
 		panic(fmt.Sprintf("sim: Schedule at cycle %d but now is %d", at, e.now))
 	}
@@ -464,12 +274,8 @@ func (e *Engine) ScheduleNoHandle(at Cycle, fn func(now Cycle)) {
 	heap.Push(&e.events, ev)
 }
 
-// After queues fn to run d cycles from now (d must be >= 1). Like Schedule
-// it panics if called from a parallel tick phase.
+// After queues fn to run d cycles from now (d must be >= 1).
 func (e *Engine) After(d Cycle, fn func(now Cycle)) *Event {
-	if e.parTick {
-		panic("sim: After during parallel tick phase (sharded tickers must stage via a Committer)")
-	}
 	if d == 0 {
 		d = 1
 	}
@@ -492,10 +298,9 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Stopped() bool { return e.stopped }
 
 // Step advances the simulation exactly one cycle: events due this cycle
-// fire first, then the tick phase runs every ticker (serially in
-// registration order, or sharded across the worker pool — bit-identical
-// either way), then the commit phase applies staged cross-shard effects via
-// the registered Committers in registration order. Step never
+// fire first, then the tick phase runs every ticker in registration order,
+// then the commit phase applies staged effects via the registered
+// Committers in registration order. Step never
 // fast-forwards; the idle-skip optimization lives in Run/RunUntil, which
 // know their budget.
 func (e *Engine) Step() {
@@ -510,29 +315,14 @@ func (e *Engine) Step() {
 			e.evPool = append(e.evPool, ev)
 		}
 	}
-	e.tickAll()
+	e.inTick = true
+	for _, t := range e.tickers {
+		t.Tick(e.now)
+	}
+	e.inTick = false
 	for _, c := range e.committers {
 		c.Commit(e.now)
 	}
-}
-
-// tickAll runs the tick phase of the current cycle in the active mode.
-func (e *Engine) tickAll() {
-	e.inTick = true
-	if e.parallelActive() {
-		if e.pool == nil || e.pool.size() != len(e.groups) {
-			e.Close()
-			e.pool = newWorkerPool(e)
-		}
-		e.parTick = true
-		e.pool.tick(e.now)
-		e.parTick = false
-	} else {
-		for _, t := range e.tickers {
-			t.Tick(e.now)
-		}
-	}
-	e.inTick = false
 }
 
 // maybeSkip fast-forwards the clock to one cycle before the earliest

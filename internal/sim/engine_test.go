@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func TestEngineTickOrder(t *testing.T) {
 	e := NewEngine(1)
@@ -174,4 +178,152 @@ func TestRegisterNilPanics(t *testing.T) {
 		}
 	}()
 	e.Register(nil)
+}
+
+func TestRegisterWhileRunningPanics(t *testing.T) {
+	e := NewEngine(1)
+	e.Register(TickerFunc(func(now Cycle) {
+		if now == 2 {
+			e.Register(TickerFunc(func(Cycle) {}))
+		}
+	}))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Register from a ticker during Run did not panic")
+		}
+	}()
+	e.Run(5)
+}
+
+func TestRegisterFromEventDuringRunPanics(t *testing.T) {
+	e := NewEngine(1)
+	e.Schedule(2, func(Cycle) {
+		e.Register(TickerFunc(func(Cycle) {}))
+	})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Register from an event during Run did not panic")
+		}
+	}()
+	e.Run(5)
+}
+
+func TestRegisterCommitterWhileRunningPanics(t *testing.T) {
+	e := NewEngine(1)
+	e.Register(TickerFunc(func(now Cycle) {
+		e.RegisterCommitter(committerFunc(func(Cycle) {}))
+	}))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RegisterCommitter during a tick did not panic")
+		}
+	}()
+	e.Step()
+}
+
+// committerFunc adapts a function to Committer for tests.
+type committerFunc func(now Cycle)
+
+func (f committerFunc) Commit(now Cycle) { f(now) }
+
+// Register from an event fired by a bare Step is explicitly permitted: the
+// event runs before the tick phase, so the new ticker ticks that same cycle.
+func TestRegisterFromBareStepEventAllowed(t *testing.T) {
+	e := NewEngine(1)
+	var ticked []Cycle
+	e.Schedule(1, func(Cycle) {
+		e.Register(TickerFunc(func(now Cycle) { ticked = append(ticked, now) }))
+	})
+	e.Step()
+	e.Step()
+	if len(ticked) != 2 || ticked[0] != 1 || ticked[1] != 2 {
+		t.Fatalf("late-registered ticker ticked at %v, want [1 2]", ticked)
+	}
+}
+
+// TestCommitAfterEveryTicker pins the two-phase cycle: each cycle's commit
+// phase runs after every ticker has ticked, committers run in registration
+// order, and InTickPhase tells the two phases apart.
+func TestCommitAfterEveryTicker(t *testing.T) {
+	e := NewEngine(42)
+	var log []string
+	for i := 0; i < 3; i++ {
+		id := i
+		e.Register(TickerFunc(func(now Cycle) {
+			if !e.InTickPhase() {
+				t.Errorf("ticker %d: InTickPhase false during tick", id)
+			}
+			log = append(log, fmt.Sprintf("t%d@%d", id, now))
+		}))
+	}
+	for i := 0; i < 2; i++ {
+		id := i
+		e.RegisterCommitter(committerFunc(func(now Cycle) {
+			if e.InTickPhase() {
+				t.Errorf("committer %d: InTickPhase true during commit", id)
+			}
+			log = append(log, fmt.Sprintf("c%d@%d", id, now))
+		}))
+	}
+	e.Run(2)
+	want := "t0@1 t1@1 t2@1 c0@1 c1@1 t0@2 t1@2 t2@2 c0@2 c1@2"
+	if got := strings.Join(log, " "); got != want {
+		t.Fatalf("cycle order:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestStopFinishesTickPhase: a Stop requested by an event ends the run at
+// the end of the requesting cycle, so that cycle's tick phase still runs.
+func TestStopFinishesTickPhase(t *testing.T) {
+	e := NewEngine(1)
+	var last Cycle
+	e.Register(TickerFunc(func(now Cycle) { last = now }))
+	e.Schedule(3, func(Cycle) { e.Stop() })
+	e.Run(100)
+	if e.Now() != 3 || last != 3 {
+		t.Fatalf("Now = %d, last tick = %d, want 3/3", e.Now(), last)
+	}
+	if e.Stopped() {
+		t.Fatal("stop request not consumed by Run")
+	}
+}
+
+func TestRunZeroLeavesPendingStop(t *testing.T) {
+	e := NewEngine(1)
+	e.Register(TickerFunc(func(Cycle) {}))
+	e.Stop()
+	e.Run(0) // no-op: must not consume the pending stop
+	if !e.Stopped() {
+		t.Fatal("Run(0) consumed the pending stop request")
+	}
+	e.Run(5) // consumes the stop, does not advance
+	if e.Now() != 0 {
+		t.Fatalf("Run after pending stop advanced to %d, want 0", e.Now())
+	}
+	e.Run(5)
+	if e.Now() != 5 {
+		t.Fatalf("Now = %d, want 5", e.Now())
+	}
+}
+
+func TestRunUntilEveryOvershootAndPendingStop(t *testing.T) {
+	e := NewEngine(1)
+	var ticks int
+	e.Register(TickerFunc(func(Cycle) { ticks++ }))
+	if !e.RunUntilEvery(func() bool { return ticks >= 10 }, 100, 4) {
+		t.Fatal("RunUntilEvery did not observe the condition")
+	}
+	// Condition is checked every 4 cycles, so the run overshoots by < 4.
+	if ticks < 10 || ticks > 13 {
+		t.Fatalf("ticks = %d, want 10..13", ticks)
+	}
+	// A pending stop makes RunUntilEvery return cond() without advancing.
+	e.Stop()
+	before := e.Now()
+	if !e.RunUntilEvery(func() bool { return true }, 100, 1) {
+		t.Fatal("RunUntilEvery with pending stop did not evaluate cond")
+	}
+	if e.Now() != before {
+		t.Fatalf("RunUntilEvery with pending stop advanced %d -> %d", before, e.Now())
+	}
 }

@@ -8,12 +8,8 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing event count. Increments are atomic,
-// which makes Counter tick-phase safe under the sharded scheduler (see
-// ShardTicker): increments commute, so the final value is independent of
-// worker interleaving and a parallel run matches a serial one exactly.
-// Components on hot paths that want to avoid cross-core contention should
-// accumulate per-shard deltas and Add them from a Committer instead.
+// Counter is a monotonically increasing event count. Increments are atomic
+// and commute, so the final value is independent of update order.
 type Counter struct {
 	Name string
 	n    atomic.Uint64
@@ -46,14 +42,13 @@ const histSubBuckets = 128
 // are bit-for-bit what they always were. Past the cap the samples collapse
 // into log-linear buckets (128 per octave) and the histogram stops growing;
 // Count, Mean, Min and Max remain exact, quantiles become approximate to
-// <1%. Bucket counts are order-independent, so the collapse preserves the
-// serial/parallel determinism story (the float sum remains the one
-// order-sensitive reduction, exactly as before).
+// <1%. Bucket counts are order-independent, so the collapse keeps results
+// deterministic (the float sum remains the one order-sensitive reduction,
+// exactly as before).
 //
-// Histogram is NOT tick-phase safe: Observe mutates shared state whose value
-// depends on observation order. Sharded tickers must not Observe;
-// observation belongs in the commit phase (where the engine guarantees a
-// deterministic order) or in serial-only components.
+// Observe mutates state whose value depends on observation order, so a
+// Histogram must only be observed in a deterministic order: from tickers
+// (registration order) or from the commit phase.
 type Histogram struct {
 	Name    string
 	samples []float64

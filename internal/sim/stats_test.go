@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -112,7 +113,7 @@ func TestHistogramBounded(t *testing.T) {
 
 // TestHistogramOrderIndependentAfterCollapse: bucket counts are a multiset
 // property, so quantiles after the collapse cannot depend on observation
-// order — the property that keeps sharded runs bit-exact.
+// order.
 func TestHistogramOrderIndependentAfterCollapse(t *testing.T) {
 	a, b := &Histogram{}, &Histogram{}
 	const n = 3 * HistExactCap
@@ -169,5 +170,25 @@ func TestStatsEnumerationOrder(t *testing.T) {
 	hs := s.Histograms()
 	if len(hs) != 1 || hs[0].Name != "z" {
 		t.Fatalf("histogram enumeration wrong")
+	}
+}
+
+// Counters are atomic: concurrent Inc from several goroutines must not lose
+// updates (run with -race to check the implementation).
+func TestCounterTickPhaseSafe(t *testing.T) {
+	c := NewStats().Counter("test.shared")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				c.Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	if c.Value() != 400 {
+		t.Fatalf("shared counter = %d, want 400", c.Value())
 	}
 }

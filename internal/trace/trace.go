@@ -73,22 +73,15 @@ func (d Dir) String() string {
 }
 
 // Tracer is a bounded ring buffer of events. A nil *Tracer is valid and
-// discards everything, so monitors can trace unconditionally.
-//
-// The ring itself is not safe to append to from the engine's parallel tick
-// phase; monitors running on a shard stage events with RecordShard instead,
-// and the tracer — registered as a sim.Committer — flushes the staged
-// events into the ring in ascending shard order each commit phase. Shard
-// order equals tile order (shards are contiguous tile bands), so the flush
-// order matches what a serial tick would have recorded directly.
+// discards everything, so monitors can trace unconditionally. Monitors
+// record in simulation order: a cycle's tick-phase egress events land ahead
+// of its commit-phase ingress events.
 type Tracer struct {
 	cap    int
 	events []Event
 	next   int
 	full   bool
 	total  uint64
-
-	staged [][]Event
 }
 
 // New returns a tracer holding at most capacity events.
@@ -112,44 +105,6 @@ func (t *Tracer) Record(e Event) {
 	t.full = true
 	t.events[t.next] = e
 	t.next = (t.next + 1) % t.cap
-}
-
-// SetShards sizes the per-shard staging buffers for RecordShard. Call once
-// at system construction with the mesh's shard count, before the first
-// cycle; callers that never shard can skip it.
-func (t *Tracer) SetShards(n int) {
-	if t == nil || n < 1 {
-		return
-	}
-	t.staged = make([][]Event, n)
-}
-
-// RecordShard stages an event from shard s's tick-phase worker; the staged
-// events reach the ring at the next Commit. An out-of-range shard (or a
-// tracer without SetShards) falls back to Record, which is only correct
-// from the main goroutine — sharded callers always pass their own index.
-func (t *Tracer) RecordShard(s int, e Event) {
-	if t == nil {
-		return
-	}
-	if s < 0 || s >= len(t.staged) {
-		t.Record(e)
-		return
-	}
-	t.staged[s] = append(t.staged[s], e)
-}
-
-// Commit implements sim.Committer: staged events enter the ring in shard
-// order. Register the tracer before the network so that tick-phase egress
-// events flush ahead of the commit-phase ingress events of the same cycle,
-// preserving the causal egress-before-ingress reading order.
-func (t *Tracer) Commit(now sim.Cycle) {
-	for s, buf := range t.staged {
-		for i := range buf {
-			t.Record(buf[i])
-		}
-		t.staged[s] = buf[:0]
-	}
 }
 
 // Total reports how many events were ever recorded (including evicted).

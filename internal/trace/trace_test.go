@@ -169,41 +169,3 @@ func TestMatrixStringGolden(t *testing.T) {
 		t.Fatalf("matrix render drifted:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
-
-// TestCommitShardOrder proves the determinism contract of the staged path:
-// whatever order shard workers stage events in during a tick phase, Commit
-// flushes them into the ring in ascending shard order — i.e. tile order,
-// matching what a serial tick would have recorded.
-func TestCommitShardOrder(t *testing.T) {
-	tr := New(16)
-	tr.SetShards(4)
-	// Stage in scrambled shard order, two events per shard.
-	for _, s := range []int{2, 0, 3, 1} {
-		tr.RecordShard(s, ev(msg.TileID(s), Forwarded, uint32(10*s)))
-		tr.RecordShard(s, ev(msg.TileID(s), Forwarded, uint32(10*s+1)))
-	}
-	if len(tr.Events()) != 0 {
-		t.Fatal("staged events reached the ring before Commit")
-	}
-	tr.Commit(11)
-	evs := tr.Events()
-	if len(evs) != 8 {
-		t.Fatalf("flushed %d events, want 8", len(evs))
-	}
-	for i, e := range evs {
-		wantSeq := uint32(10*(i/2) + i%2)
-		if e.Seq != wantSeq {
-			t.Fatalf("event %d has seq %d, want %d (not shard order)", i, e.Seq, wantSeq)
-		}
-	}
-	// A second commit must not re-flush.
-	tr.Commit(12)
-	if tr.Total() != 8 {
-		t.Fatalf("Commit re-flushed: total %d", tr.Total())
-	}
-	// Out-of-range shard falls back to direct Record.
-	tr.RecordShard(99, ev(9, Forwarded, 99))
-	if tr.Total() != 9 {
-		t.Fatal("out-of-range shard did not fall back to Record")
-	}
-}
