@@ -72,10 +72,13 @@ bench:
 
 # scenario runs the open-loop load-harness gates the way CI's scenario job
 # does: the committed smoke scenario vs its golden fingerprint, the
-# repeat-run and fleet-worker differential, record/replay equality, and a
-# bounded fuzz of the scenario decoder.
+# repeat-run, fleet-worker and idle-skip on/off differentials, the
+# generator's closed-form planner against its per-cycle model, the
+# transport's wire order, record/replay equality, and a bounded fuzz of the
+# scenario decoder.
 scenario:
-	$(GO) test -race -count=1 -run 'TestScenarioGolden|TestScenarioDifferential|TestReplayFingerprint' ./internal/load/
+	$(GO) test -race -count=1 -run 'TestScenarioGolden|TestScenarioDifferential|TestReplayFingerprint|TestSkipInvariance|TestGeneratorPlan|TestGeneratorHang' ./internal/load/
+	$(GO) test -race -count=1 -run 'TestTransportWireOrder' ./internal/netstack/
 	$(GO) test -fuzz=FuzzScenarioParse -fuzztime=30s ./internal/load/
 
 # scenario-golden regenerates the committed smoke-scenario fingerprint.

@@ -85,13 +85,27 @@ type Accelerator interface {
 }
 
 // Idler is optionally implemented by accelerators that can report when
-// Tick(p) would be a no-op: no pending work, no timed work becoming due, no
-// sends to retry. The shell combines this with its own queue state so the
-// engine can fast-forward across idle stretches (sim.IdleTicker).
-// Accelerators that generate work spontaneously (traffic sources) must
-// return false until they are permanently finished.
+// Tick(p) would be a no-op: no pending work, no sends to retry, and no timed
+// work due before the accelerator's next self-timed cycle. The shell
+// combines this with its own queue state so the engine can fast-forward
+// across idle stretches (sim.IdleTicker). Accelerators with timed work (a
+// traffic source, a reply held until its due cycle, a retransmission timer)
+// sleep: they report Idle and name the cycle the work comes due with
+// NextWake (sim.Waker), which the shell forwards to the engine. An Idler
+// without NextWake promises that every tick is a no-op until a delivery
+// wakes it.
 type Idler interface {
 	Idle() bool
+}
+
+// Withholder is optionally implemented by sleeping accelerators
+// (sim.Waker) that keep time lazily, catching up the cycles they slept
+// through on their next tick. The shell calls Withhold(now) on the first
+// cycle of every stretch in which it does not tick the logic (an injected
+// hang, a draining or stopped tile): cycles before now were slept, cycles
+// from now until the next tick are withheld and must not be caught up.
+type Withholder interface {
+	Withhold(now sim.Cycle)
 }
 
 // Checkpointable is implemented by accelerators that externalize
@@ -127,8 +141,9 @@ type Preemptible interface {
 // Quiescer is optionally implemented by accelerators that can report when
 // they hold no in-flight work: no parked output, no outstanding RPCs to
 // system services, no pending client requests. The shell consults it while
-// Quiescing; without it, quiescence falls back to Idler (conservative for
-// pipelines whose Idle already covers in-flight state).
+// Quiescing. Asleep is not drained: an idle accelerator may still hold work
+// that comes due later, so any accelerator with timed work implements
+// Quiescer; the shell's fallback for the rest is Idle with no wake pending.
 type Quiescer interface {
 	Quiescent() bool
 }
@@ -233,6 +248,10 @@ type Shell struct {
 	babbleUntil sim.Cycle
 	babbleSvc   msg.ServiceID
 	babbleSeq   uint32
+
+	// withheld is set once the shell has reported the current stretch of
+	// cycles it does not tick the logic (Withholder).
+	withheld bool
 }
 
 // Blank is the power-on placeholder occupying a shell before any
@@ -447,12 +466,16 @@ func (s *Shell) QueueLen() int { return len(s.inq) }
 // watchdog.
 func (s *Shell) Tick(now sim.Cycle) {
 	if s.state != Running && s.state != Quiescing {
+		s.withhold(now)
 		return
 	}
 	s.now = now
 	before := len(s.inq)
 
-	if now >= s.hangUntil {
+	if now < s.hangUntil {
+		s.withhold(now)
+	} else {
+		s.withheld = false
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -512,14 +535,27 @@ func (s *Shell) Tick(now sim.Cycle) {
 	}
 }
 
+// withhold reports the first cycle of a stretch the logic is not ticked.
+func (s *Shell) withhold(now sim.Cycle) {
+	if s.withheld {
+		return
+	}
+	s.withheld = true
+	if w, ok := s.acc.(Withholder); ok {
+		w.Withhold(now)
+	}
+}
+
 // Idle implements sim.IdleTicker: ticking is a no-op when the shell is not
-// Running (Tick returns immediately), or when the inbound queue is empty,
-// the watchdog is unarmed, and the accelerator itself declares idle. An
-// accelerator that does not implement Idler is never considered idle — the
-// conservative default for logic that may generate work spontaneously.
+// Running (Tick returns immediately, once it has reported the withheld
+// stretch — that first tick is never skipped), or when the inbound queue
+// is empty, the watchdog is unarmed, and the accelerator itself declares
+// idle (until its NextWake, which the shell forwards). An accelerator that
+// does not implement Idler is never considered idle — the conservative
+// default for logic that may generate work spontaneously.
 func (s *Shell) Idle() bool {
 	if s.state != Running && s.state != Quiescing {
-		return true
+		return s.withheld
 	}
 	if len(s.inq) > 0 || s.wasFull || s.hbArmed {
 		return false
@@ -534,12 +570,26 @@ func (s *Shell) Idle() bool {
 	return ok && ih.Idle()
 }
 
+// NextWake implements sim.Waker: a Running or Quiescing shell forwards its
+// accelerator's next self-timed cycle (0 when the logic has none, or is
+// parked and never ticked).
+func (s *Shell) NextWake() sim.Cycle {
+	if s.state != Running && s.state != Quiescing {
+		return 0
+	}
+	if w, ok := s.acc.(sim.Waker); ok {
+		return w.NextWake()
+	}
+	return 0
+}
+
 // Quiescent reports whether a Quiescing shell has fully drained: the
 // inbound queue is empty and the accelerator holds no in-flight work. The
 // kernel polls this before snapshotting. Accelerators report in-flight
-// state via Quiescer; Idler is the fallback, and an accelerator exposing
-// neither is considered drained once its queue is (it has no way to hold
-// hidden work the checkpoint could miss).
+// state via Quiescer. The fallback is Idle with no wake pending — an
+// asleep accelerator still owes its timed work — and an accelerator
+// exposing neither is considered drained once its queue is (it has no way
+// to hold hidden work the checkpoint could miss).
 func (s *Shell) Quiescent() bool {
 	if s.state != Quiescing || len(s.inq) > 0 {
 		return false
@@ -548,7 +598,8 @@ func (s *Shell) Quiescent() bool {
 		return q.Quiescent()
 	}
 	if ih, ok := s.acc.(Idler); ok {
-		return ih.Idle()
+		w, timed := s.acc.(sim.Waker)
+		return ih.Idle() && (!timed || w.NextWake() == 0)
 	}
 	return true
 }

@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"reflect"
 	"testing"
 
 	"apiary/internal/msg"
@@ -247,5 +248,60 @@ func TestStateStrings(t *testing.T) {
 		if f.String() == "" {
 			t.Fatal("empty fault name")
 		}
+	}
+}
+
+// sleeper is asleep until wake and records which cycles it was ticked and
+// which the shell withheld.
+type sleeper struct {
+	wake     sim.Cycle
+	ticked   []sim.Cycle
+	withheld []sim.Cycle
+}
+
+func (a *sleeper) Name() string           { return "sleeper" }
+func (a *sleeper) Reset()                 {}
+func (a *sleeper) Contexts() int          { return 1 }
+func (a *sleeper) Tick(p Port)            { a.ticked = append(a.ticked, p.Now()) }
+func (a *sleeper) Idle() bool             { return true }
+func (a *sleeper) NextWake() sim.Cycle    { return a.wake }
+func (a *sleeper) Withhold(now sim.Cycle) { a.withheld = append(a.withheld, now) }
+
+func TestShellForwardsWakeAndWithholds(t *testing.T) {
+	a := &sleeper{wake: 90}
+	s := newShell(a)
+	if s.NextWake() != 90 || !s.Idle() {
+		t.Fatalf("running shell: wake %d idle %v, want 90 true", s.NextWake(), s.Idle())
+	}
+	s.SetHang(12)
+	s.Tick(10)
+	s.Tick(11)
+	s.Tick(12)
+	if !reflect.DeepEqual(a.withheld, []sim.Cycle{10}) || !reflect.DeepEqual(a.ticked, []sim.Cycle{12}) {
+		t.Fatalf("withheld %v ticked %v, want [10] (the stretch's first cycle) and [12]", a.withheld, a.ticked)
+	}
+	// A stop is withheld too, and its first cycle is never skipped.
+	s.SetState(Draining)
+	if s.Idle() {
+		t.Fatal("a freshly stopped shell must tick once to report the withheld stretch")
+	}
+	s.Tick(13)
+	s.Tick(14)
+	if !reflect.DeepEqual(a.withheld, []sim.Cycle{10, 13}) || !s.Idle() {
+		t.Fatalf("withheld %v idle %v, want [10 13] and idle", a.withheld, s.Idle())
+	}
+	// Asleep with a wake pending is not drained (the Idler fallback).
+	s.SetState(Quiescing)
+	if s.Quiescent() {
+		t.Fatal("quiescent while asleep with timed work pending")
+	}
+	a.wake = 0
+	if !s.Quiescent() {
+		t.Fatal("idle with no wake pending should be quiescent")
+	}
+	s.SetState(Stopped)
+	a.wake = 90
+	if s.NextWake() != 0 {
+		t.Fatal("a stopped shell never ticks its logic: no wake")
 	}
 }

@@ -117,10 +117,14 @@ func (k *KVStore) Reset() {
 	// kernel with the tile's configuration, not by the accelerator.
 }
 
-// Idle implements accel.Idler: with an empty shell queue and an empty send
-// queue, Tick does nothing. In-flight memory ops (pendMem) wake the tile
-// when their TMemReply is delivered.
-func (k *KVStore) Idle() bool { return k.out.empty() }
+// Idle implements accel.Idler: with an empty shell queue and nothing due to
+// send, Tick does nothing until the send queue's head comes due
+// (NextWake). In-flight memory ops (pendMem) wake the tile when their
+// TMemReply is delivered.
+func (k *KVStore) Idle() bool { return k.out.idle() }
+
+// NextWake implements sim.Waker.
+func (k *KVStore) NextWake() sim.Cycle { return k.out.nextWake() }
 
 // Quiescent implements accel.Quiescer: the store holds no in-flight work
 // once its send queue is empty AND no memory-service op is outstanding —

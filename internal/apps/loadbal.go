@@ -141,8 +141,16 @@ func (l *LoadBalancer) Reset() {
 	}
 }
 
-// Idle implements accel.Idler.
-func (l *LoadBalancer) Idle() bool { return l.out.empty() && len(l.waitQ) == 0 }
+// Idle implements accel.Idler: nothing due to send and no dispatch
+// waiting out local backpressure.
+func (l *LoadBalancer) Idle() bool { return l.out.idle() && len(l.waitQ) == 0 }
+
+// NextWake implements sim.Waker.
+func (l *LoadBalancer) NextWake() sim.Cycle { return l.out.nextWake() }
+
+// Quiescent implements accel.Quiescer: nothing queued to send, due or not,
+// and no dispatch waiting out backpressure.
+func (l *LoadBalancer) Quiescent() bool { return l.out.empty() && len(l.waitQ) == 0 }
 
 // Tick implements accel.Accelerator. The balancer is wiring, not compute:
 // it moves up to 4 messages per cycle.
@@ -433,6 +441,15 @@ func (f *Faulty) Idle() bool {
 	}
 	ih, ok := f.Accelerator.(accel.Idler)
 	return ok && ih.Idle()
+}
+
+// NextWake implements sim.Waker, forwarding the wrapped accelerator's next
+// self-timed cycle (explicit for the same reason as Idle).
+func (f *Faulty) NextWake() sim.Cycle {
+	if w, ok := f.Accelerator.(sim.Waker); ok {
+		return w.NextWake()
+	}
+	return 0
 }
 
 // Reset implements accel.Accelerator; the wrapped accelerator restarts

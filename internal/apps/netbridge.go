@@ -67,9 +67,15 @@ func (b *NetBridge) Reset() {
 }
 
 // Idle implements accel.Idler: until the listen registration succeeds the
-// bridge retries it every tick, so it is only idle once listened with an
-// empty send queue.
-func (b *NetBridge) Idle() bool { return b.listened && b.out.empty() }
+// bridge retries it every tick, so it is only idle once listened with
+// nothing due to send.
+func (b *NetBridge) Idle() bool { return b.listened && b.out.idle() }
+
+// NextWake implements sim.Waker.
+func (b *NetBridge) NextWake() sim.Cycle { return b.out.nextWake() }
+
+// Quiescent implements accel.Quiescer: nothing queued to send, due or not.
+func (b *NetBridge) Quiescent() bool { return b.out.empty() }
 
 // Tick implements accel.Accelerator.
 func (b *NetBridge) Tick(p accel.Port) {

@@ -106,9 +106,15 @@ func (r *RemoteProxy) Reset() {
 }
 
 // Idle implements accel.Idler: idle once the listen registration stuck and
-// nothing is queued to send. Replies from the remote CPU arrive as TNetRecv
+// nothing is due to send. Replies from the remote CPU arrive as TNetRecv
 // through the shell queue.
-func (r *RemoteProxy) Idle() bool { return r.listened && r.out.empty() }
+func (r *RemoteProxy) Idle() bool { return r.listened && r.out.idle() }
+
+// NextWake implements sim.Waker.
+func (r *RemoteProxy) NextWake() sim.Cycle { return r.out.nextWake() }
+
+// Quiescent implements accel.Quiescer: nothing queued to send, due or not.
+func (r *RemoteProxy) Quiescent() bool { return r.out.empty() }
 
 // Tick implements accel.Accelerator.
 func (r *RemoteProxy) Tick(p accel.Port) {

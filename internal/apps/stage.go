@@ -47,8 +47,13 @@ type timedMsg struct {
 	m  *msg.Message
 }
 
-// outQ is a time-ordered send queue honouring monitor backpressure.
-type outQ struct{ items []timedMsg }
+// outQ is a time-ordered send queue honouring monitor backpressure. It
+// sleeps while its head is not yet due: flushed records the last flush
+// cycle, so the queue knows which cycle its owner ticks next.
+type outQ struct {
+	items   []timedMsg
+	flushed sim.Cycle
+}
 
 func (q *outQ) push(at sim.Cycle, m *msg.Message) {
 	q.items = append(q.items, timedMsg{at, m})
@@ -57,12 +62,26 @@ func (q *outQ) push(at sim.Cycle, m *msg.Message) {
 // empty reports whether no messages are queued (due now or later).
 func (q *outQ) empty() bool { return len(q.items) == 0 }
 
+// idle reports whether the next flush is a no-op: nothing queued, or a head
+// not due next cycle (sends go out in queue order, so the head gates all).
+func (q *outQ) idle() bool { return q.empty() || q.items[0].at > q.flushed+1 }
+
+// nextWake is the head's due cycle (0 when empty), the queue's sim.Waker
+// cycle.
+func (q *outQ) nextWake() sim.Cycle {
+	if q.empty() {
+		return 0
+	}
+	return q.items[0].at
+}
+
 // flush sends every due message; stops on backpressure (ERateLimited/EBusy)
 // and drops on hard errors (the destination will have NACKed or is gone).
 func (q *outQ) flush(p accel.Port) {
+	q.flushed = p.Now()
 	for len(q.items) > 0 {
 		it := q.items[0]
-		if it.at > p.Now() {
+		if it.at > q.flushed {
 			return
 		}
 		code := p.Send(it.m)
@@ -110,10 +129,14 @@ func (s *Stage) Reset() {
 }
 
 // Idle implements accel.Idler: with no inbound messages (the shell's
-// precondition for consulting us) and nothing queued to send, Tick does
-// nothing. Replies the stage is still waiting for arrive through the shell
-// queue, which wakes the tile.
-func (s *Stage) Idle() bool { return s.out.empty() }
+// precondition for consulting us) and nothing due to send, Tick does
+// nothing until the send queue's head comes due (NextWake). Replies the
+// stage is still waiting for arrive through the shell queue, which wakes
+// the tile.
+func (s *Stage) Idle() bool { return s.out.idle() }
+
+// NextWake implements sim.Waker.
+func (s *Stage) NextWake() sim.Cycle { return s.out.nextWake() }
 
 // Quiescent implements accel.Quiescer: drained means nothing parked in the
 // send queue and no downstream call still awaiting its reply.

@@ -73,11 +73,21 @@ type Generator struct {
 	Board  int
 
 	rng      *sim.RNG
-	acc      uint64
+	acc      uint64    // Q32 arrival accumulator, settled through accAt
+	accAt    sim.Cycle // last cycle acc accrued (or was withheld)
 	seq      uint32
 	curPhase int
-	started  bool
+	synced   bool // acc keeps the generator's clock (false until the next tick after a withheld cycle)
 	lastNow  sim.Cycle
+
+	// wake is the next self-timed cycle (0 = none), planned on demand once
+	// per tick; planned reports it current.
+	wake    sim.Cycle
+	planned bool
+	// Rate-segment cache: the accumulator increment segInc holds for every
+	// cycle in [segFrom, segEnd).
+	segFrom, segEnd sim.Cycle
+	segInc          uint64
 
 	pending   map[uint32]pend
 	deadlines []deadline
@@ -162,6 +172,7 @@ func (g *Generator) Reset() {
 	g.pending = make(map[uint32]pend)
 	g.deadlines = nil
 	g.backlog = nil
+	g.planned = false
 }
 
 // AttachStats implements accel.StatsUser: headline counters surface in
@@ -179,19 +190,84 @@ func (g *Generator) Done(now sim.Cycle) bool {
 		(g.replay == nil || g.replayIdx >= len(g.replay.Arrivals))
 }
 
-// Idle implements accel.Idler. The generator is a traffic source: never
-// idle while the scenario runs or completions are outstanding.
+// Idle implements accel.Idler. The generator is a traffic source that
+// sleeps between its self-timed cycles: it is idle when nothing waits in
+// the send backlog and its next arrival, rate edge, phase boundary or
+// timeout is not due next cycle (NextWake). Completions arrive through the
+// shell queue, which wakes the tile.
 func (g *Generator) Idle() bool {
-	return g.started && g.Done(g.lastNow)
+	if !g.synced || len(g.backlog) > 0 {
+		return false
+	}
+	w := g.NextWake()
+	return w == 0 || w > g.lastNow+1
 }
 
-var _ accel.Idler = (*Generator)(nil)
+// NextWake implements sim.Waker.
+func (g *Generator) NextWake() sim.Cycle {
+	if !g.planned {
+		g.wake = g.plan()
+		g.planned = true
+	}
+	return g.wake
+}
+
+// Quiescent implements accel.Quiescer: no request awaiting its reply and
+// none waiting to be sent.
+func (g *Generator) Quiescent() bool { return len(g.pending) == 0 && len(g.backlog) == 0 }
+
+// Withhold implements accel.Withholder: the cycles before now were slept
+// and are settled; from now until the next tick the shell withholds the
+// generator (a hang, a stopped tile), and those cycles accrue no arrivals,
+// exactly as if it were never ticked. The next tick restarts the clock.
+func (g *Generator) Withhold(now sim.Cycle) {
+	if g.synced {
+		g.settle(now - 1)
+		g.synced = false
+	}
+}
+
+var (
+	_ accel.Idler      = (*Generator)(nil)
+	_ accel.Quiescer   = (*Generator)(nil)
+	_ accel.Withholder = (*Generator)(nil)
+	_ sim.Waker        = (*Generator)(nil)
+)
+
+// inc is this generator's Q32 accumulator increment at cycle t, cached per
+// rate segment (a whole flat stretch, or one cycle of a ramp).
+func (g *Generator) inc(t sim.Cycle) uint64 {
+	if t < g.segFrom || t >= g.segEnd {
+		g.segFrom, g.segEnd = t, g.scn.RateEdge(t)
+		g.segInc = incQ32(g.scn.RateAt(t)) / g.shareInc
+	}
+	return g.segInc
+}
+
+// settle accrues the accumulator through cycle t (clamped to the scenario
+// end), one increment per cycle since accAt, in closed form. The cycles a
+// sleeping generator was not ticked all share one rate and cross no
+// arrival — its wake never passes a rate edge or its next arrival — so the
+// closed form equals per-cycle accrual.
+func (g *Generator) settle(t sim.Cycle) {
+	if g.end > 0 && t >= g.end {
+		t = g.end - 1
+	}
+	if t > g.accAt {
+		g.acc += g.inc(g.accAt+1) * uint64(t-g.accAt)
+		g.accAt = t
+	}
+}
 
 // Tick implements accel.Accelerator.
 func (g *Generator) Tick(p accel.Port) {
 	now := p.Now()
+	if !g.synced {
+		g.accAt = now - 1 // no unticked cycle before this one accrues
+		g.synced = true
+	}
 	g.lastNow = now
-	g.started = true
+	g.planned = false
 
 	// Phase tracking (boundaries land between ticks; observation only).
 	if now < g.end {
@@ -243,7 +319,9 @@ func (g *Generator) Tick(p accel.Port) {
 			g.admit(a)
 		}
 	} else if now < g.end {
-		g.acc += incQ32(g.scn.RateAt(now)) / g.shareInc
+		g.settle(now - 1)
+		g.acc += g.inc(now)
+		g.accAt = now
 		for g.acc >= 1<<rateQ {
 			g.acc -= 1 << rateQ
 			cls := g.drawClass()
@@ -280,6 +358,54 @@ func (g *Generator) Tick(p accel.Port) {
 			g.complete(a.Seq, OutcomeDenied, now, &pd)
 		}
 	}
+}
+
+// plan returns the first cycle after the last tick at which a tick does
+// work: the head timeout, the next phase boundary (its phase record falls
+// due), and the next arrival — from the replay log, or on the rate curve
+// the next accumulator crossing or the end of the cached rate segment,
+// whichever comes first. 0 means none. Waking early is always safe (the
+// tick just settles the accumulator), so a cycle the segment cache does
+// not cover wakes conservatively.
+func (g *Generator) plan() sim.Cycle {
+	var wake sim.Cycle
+	soonest := func(at sim.Cycle) {
+		if at != 0 && (wake == 0 || at < wake) {
+			wake = at
+		}
+	}
+	if len(g.deadlines) > 0 {
+		soonest(g.deadlines[0].at)
+	}
+	if g.replay != nil {
+		if g.replayIdx < len(g.replay.Arrivals) {
+			soonest(g.replay.Arrivals[g.replayIdx].At)
+		}
+		if edge := g.scn.NextBoundary(g.lastNow); edge < g.end {
+			soonest(edge)
+		}
+		return wake
+	}
+	// acc is settled through accAt; segments never cross a phase
+	// boundary, so a boundary is always a segment edge.
+	if next := g.accAt + 1; g.lastNow+1 < g.end && next < g.end {
+		if next < g.segFrom || next >= g.segEnd {
+			soonest(next)
+			return wake
+		}
+		edge := g.segEnd
+		// Closed form of the per-cycle accrual: the k-th cycle from next
+		// on brings acc to 2^32 when acc + k*inc >= 2^32.
+		if inc := g.segInc; inc > 0 {
+			if at := g.accAt + sim.Cycle((1<<rateQ-g.acc+inc-1)/inc); at < edge {
+				edge = at
+			}
+		}
+		if edge < g.end {
+			soonest(edge)
+		}
+	}
+	return wake
 }
 
 // admit records one arrival and queues it for sending, shedding when the

@@ -7,7 +7,8 @@
 // request stream with a client-visible fingerprint.
 //
 // Everything runs on the engine clock. Arrivals are emitted by a per-cycle
-// fixed-point accumulator (integer math only), so a scenario run is
+// fixed-point accumulator (integer math only, evaluated in closed form
+// while the generator sleeps between arrivals), so a scenario run is
 // deterministic and bit-exact at any fleet worker count, and
 // latency is measured from the scheduled arrival cycle — not the send
 // cycle — which makes the harness immune to coordinated omission: a slow
@@ -193,6 +194,35 @@ func (s *Scenario) RateAt(t sim.Cycle) uint64 {
 		return 0
 	}
 	return uint64(r)
+}
+
+// RateEdge reports the first offset after t at which RateAt may differ
+// from RateAt(t): the phase end, or the next burst-window edge inside the
+// phase. Ramped and diurnal phases change rate from cycle to cycle, so
+// their edge is t+1. Offsets at or past the end report t+1.
+func (s *Scenario) RateEdge(t sim.Cycle) sim.Cycle {
+	if len(s.Phases) == 0 || t >= s.Dur() {
+		return t + 1
+	}
+	pi, off := s.PhaseAt(t)
+	p := s.Phases[pi]
+	if p.RateTo != p.RateFrom && p.Dur > 0 {
+		return t + 1
+	}
+	if d := p.Diurnal; d != nil && d.Period > 0 && d.Swing > 0 {
+		return t + 1
+	}
+	edge := t - off + p.Dur
+	if b := p.Burst; b != nil && b.Period > 0 {
+		next := b.Period - off%b.Period // next window start
+		if pos := off % b.Period; pos < b.Dur {
+			next = b.Dur - pos // current window's end
+		}
+		if t+next < edge {
+			edge = t + next
+		}
+	}
+	return edge
 }
 
 // triangle is the diurnal wave: 0 -> +swing -> 0 -> -swing -> 0 over one

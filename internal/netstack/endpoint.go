@@ -36,11 +36,13 @@ func NewSoftEndpoint(e *sim.Engine, st *sim.Stats, fab *netsim.Fabric,
 
 // transportPump registers a transport as an idle-capable ticker: frames in
 // flight on the simulated wire are engine events, so the engine may
-// fast-forward whenever the transport itself has nothing queued or unacked.
+// fast-forward whenever the transport itself has nothing queued, sleeping
+// until its next retransmission timeout.
 type transportPump struct{ tr *Transport }
 
-func (p *transportPump) Tick(now sim.Cycle) { p.tr.Tick(now) }
-func (p *transportPump) Idle() bool         { return p.tr.Idle() }
+func (p *transportPump) Tick(now sim.Cycle)  { p.tr.Tick(now) }
+func (p *transportPump) Idle() bool          { return p.tr.Idle() }
+func (p *transportPump) NextWake() sim.Cycle { return p.tr.NextWake() }
 
 // Node reports the endpoint's fabric node ID.
 func (s *SoftEndpoint) Node() netsim.NodeID { return s.node }

@@ -175,9 +175,17 @@ func (s *Service) Reset() {
 }
 
 // Idle implements accel.Idler: the service tile is idle when it has no
-// monitor-bound messages queued and its transport has nothing pending or
-// unacked. Inbound datagrams materialize from wire events, which wake it.
+// monitor-bound messages queued and its transport is idle (asleep until
+// its next retransmission timeout, NextWake). Inbound datagrams materialize
+// from wire events, which wake it.
 func (s *Service) Idle() bool { return len(s.outbox) == 0 && s.tr.Idle() }
+
+// NextWake implements sim.Waker, forwarding the transport's.
+func (s *Service) NextWake() sim.Cycle { return s.tr.NextWake() }
+
+// Quiescent implements accel.Quiescer: an empty outbox, and a transport
+// with nothing pending or in flight.
+func (s *Service) Quiescent() bool { return len(s.outbox) == 0 && s.tr.drained() }
 
 // Tick implements accel.Accelerator.
 func (s *Service) Tick(p accel.Port) {

@@ -15,6 +15,7 @@ package netstack
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"apiary/internal/msg"
 	"apiary/internal/netsim"
@@ -93,7 +94,12 @@ type Transport struct {
 	local   netsim.NodeID
 	send    SendFrame
 	deliver DeliverFunc
-	conns   map[netsim.NodeID]*conn
+	// conns holds every connection in ascending remote NodeID order, so
+	// Tick pumps and retransmits in one wire order on every run; byNode is
+	// the lookup index into it.
+	conns  []*conn
+	byNode map[netsim.NodeID]*conn
+	ticked sim.Cycle // cycle of the last Tick
 
 	txSegs     *sim.Counter
 	rxSegs     *sim.Counter
@@ -108,7 +114,7 @@ func NewTransport(local netsim.NodeID, send SendFrame, deliver DeliverFunc, st *
 		local:      local,
 		send:       send,
 		deliver:    deliver,
-		conns:      make(map[netsim.NodeID]*conn),
+		byNode:     make(map[netsim.NodeID]*conn),
 		txSegs:     st.Counter("tp.tx_segments"),
 		rxSegs:     st.Counter("tp.rx_segments"),
 		retx:       st.Counter("tp.retransmits"),
@@ -118,12 +124,24 @@ func NewTransport(local netsim.NodeID, send SendFrame, deliver DeliverFunc, st *
 }
 
 func (t *Transport) conn(remote netsim.NodeID) *conn {
-	c, ok := t.conns[remote]
+	c, ok := t.byNode[remote]
 	if !ok {
 		c = &conn{remote: remote}
-		t.conns[remote] = c
+		t.byNode[remote] = c
+		i := sort.Search(len(t.conns), func(i int) bool { return t.conns[i].remote > remote })
+		t.conns = append(t.conns, nil)
+		copy(t.conns[i+1:], t.conns[i:])
+		t.conns[i] = c
 	}
 	return c
+}
+
+// rtoOf is c's current retransmission timeout.
+func rtoOf(c *conn) sim.Cycle {
+	if c.rto == 0 {
+		return RTOCycles
+	}
+	return c.rto
 }
 
 // Send queues one datagram for reliable delivery to (dst, flow).
@@ -150,7 +168,7 @@ func (t *Transport) SendCtx(dst netsim.NodeID, flow uint16, data []byte, tc msg.
 
 // OutstandingTo reports unfinished work toward dst (for tests/quiesce).
 func (t *Transport) OutstandingTo(dst netsim.NodeID) int {
-	c, ok := t.conns[dst]
+	c, ok := t.byNode[dst]
 	if !ok {
 		return 0
 	}
@@ -167,10 +185,36 @@ func encodeSeg(kind byte, seq, ack uint32, data []byte) []byte {
 	return b
 }
 
-// Idle reports whether Tick would be a no-op on every connection: nothing
-// pending segmentation and nothing in flight (in-flight segments imply a
-// live retransmission timer, which is timed work).
+// Idle reports whether the next Tick is a no-op on every connection:
+// nothing pending segmentation and no retransmission timeout expiring next
+// cycle. Segments in flight sleep until their timer fires (NextWake).
 func (t *Transport) Idle() bool {
+	for _, c := range t.conns {
+		if len(c.pending) > 0 || len(c.inflight) > 0 && c.lastSend+rtoOf(c) <= t.ticked {
+			return false
+		}
+	}
+	return true
+}
+
+// NextWake implements sim.Waker: the earliest retransmission timeout among
+// connections with segments in flight (0 when nothing is in flight).
+func (t *Transport) NextWake() sim.Cycle {
+	var wake sim.Cycle
+	for _, c := range t.conns {
+		if len(c.inflight) == 0 {
+			continue
+		}
+		if at := c.lastSend + rtoOf(c) + 1; wake == 0 || at < wake {
+			wake = at
+		}
+	}
+	return wake
+}
+
+// drained reports whether nothing is pending segmentation or in flight on
+// any connection.
+func (t *Transport) drained() bool {
 	for _, c := range t.conns {
 		if len(c.pending) > 0 || len(c.inflight) > 0 {
 			return false
@@ -179,17 +223,16 @@ func (t *Transport) Idle() bool {
 	return true
 }
 
-// Tick pumps pending data into the window and handles retransmission.
-// Call once per cycle (or per polling interval).
+// Tick pumps pending data into the window and handles retransmission, one
+// connection at a time in remote NodeID order. Call once per cycle (or per
+// polling interval).
 func (t *Transport) Tick(now sim.Cycle) {
+	t.ticked = now
 	for _, c := range t.conns {
 		t.pump(c, now)
 		// Go-back-N timeout: resend everything in flight, then double the
 		// timeout for the next expiry.
-		rto := c.rto
-		if rto == 0 {
-			rto = RTOCycles
-		}
+		rto := rtoOf(c)
 		if len(c.inflight) > 0 && now-c.lastSend > rto {
 			c.lastSend = now
 			c.rto = rto * 2

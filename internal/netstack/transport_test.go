@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"apiary/internal/msg"
@@ -172,5 +173,82 @@ func TestRetransmitCounted(t *testing.T) {
 	}
 	if st.Counter("tp.retransmits").Value() == 0 {
 		t.Fatal("no retransmits recorded under 50% loss")
+	}
+}
+
+func TestTransportWireOrder(t *testing.T) {
+	// Eight connections with data pending in the same cycle, created in a
+	// different order every run: the pump and the retransmit both go out
+	// in ascending remote NodeID order, every time.
+	var first []netsim.NodeID
+	for run := 0; run < 200; run++ {
+		var wire []netsim.NodeID
+		tr := NewTransport(100, func(dst netsim.NodeID, _ []byte, _ msg.TraceCtx) error {
+			wire = append(wire, dst)
+			return nil
+		}, nil, sim.NewStats())
+		for _, i := range sim.NewRNG(uint64(run)).Perm(8) {
+			if err := tr.Send(netsim.NodeID(10+3*i), 1, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tr.Tick(1)
+		tr.Tick(2 + RTOCycles) // every connection's timeout expires at once
+		if run == 0 {
+			first = wire
+			if len(first) != 16 {
+				t.Fatalf("%d segments on the wire, want 8 sends + 8 retransmits", len(first))
+			}
+			for k := 1; k < len(first); k++ {
+				if k != 8 && first[k] <= first[k-1] {
+					t.Fatalf("wire order %v is not ascending NodeID per pass", first)
+				}
+			}
+			continue
+		}
+		if !reflect.DeepEqual(wire, first) {
+			t.Fatalf("run %d wire order %v != run 0 order %v", run, wire, first)
+		}
+	}
+}
+
+func TestTransportSleepsUntilRTO(t *testing.T) {
+	sent := 0
+	tr := NewTransport(1, func(netsim.NodeID, []byte, msg.TraceCtx) error {
+		sent++
+		return nil
+	}, nil, sim.NewStats())
+	if !tr.Idle() || tr.NextWake() != 0 {
+		t.Fatal("fresh transport should be idle with no wake")
+	}
+	_ = tr.Send(2, 1, []byte("x"))
+	if tr.Idle() {
+		t.Fatal("pending data must keep the transport busy")
+	}
+	tr.Tick(10)
+	if !tr.Idle() {
+		t.Fatal("a segment in flight with its timer far off should sleep")
+	}
+	wake := tr.NextWake()
+	if wake != 10+RTOCycles+1 {
+		t.Fatalf("NextWake = %d, want %d", wake, 10+RTOCycles+1)
+	}
+	tr.Tick(wake - 2)
+	if !tr.Idle() {
+		t.Fatal("timeout two cycles off: still asleep")
+	}
+	tr.Tick(wake - 1)
+	if tr.Idle() {
+		t.Fatal("timeout due next cycle: not idle")
+	}
+	if sent != 1 {
+		t.Fatalf("%d sends before the wake, want 1", sent)
+	}
+	tr.Tick(wake)
+	if sent != 2 {
+		t.Fatalf("%d sends after the wake, want the retransmit", sent)
+	}
+	if tr.drained() {
+		t.Fatal("a segment in flight is not drained")
 	}
 }

@@ -34,17 +34,30 @@ type Ticker interface {
 // IdleTicker is a Ticker that can report when ticking it would be a no-op.
 // The idle contract: while Idle() returns true, Tick must not change any
 // observable simulation state (component state, statistics, scheduled
-// events). The engine uses the contract to fast-forward the clock across
-// stretches where every registered ticker is idle; because skipped ticks
-// are exactly the ticks that would have done nothing, a run with
+// events) — until the component's next self-timed cycle, if it has one
+// (see Waker). The engine uses the contract to fast-forward the clock
+// across stretches where every registered ticker is idle; because skipped
+// ticks are exactly the ticks that would have done nothing, a run with
 // fast-forward enabled is bit-identical to one without it.
 //
-// A component whose activity depends on wall-clock time (a traffic
-// generator, a poller) must either return false from Idle while it still
-// has timed work, or schedule that work as engine events.
+// A component whose activity depends on the clock (a traffic generator, a
+// retransmission timer, a reply held until its due cycle) sleeps: it
+// reports Idle and names its next self-timed cycle with NextWake, or
+// schedules that work as engine events.
 type IdleTicker interface {
 	Ticker
 	Idle() bool
+}
+
+// Waker is optionally implemented by IdleTickers with self-timed work.
+// NextWake reports the first cycle whose Tick is not a no-op while Idle()
+// holds; 0 means no timed work (the ticker sleeps until an event or another
+// ticker's effect wakes it). Every Tick before NextWake() must be a no-op
+// exactly as under Idle, so the engine may jump straight to it. A sleeping
+// ticker may keep time lazily — catching up the cycles it slept through on
+// its next tick — provided the result is the one per-cycle ticking gives.
+type Waker interface {
+	NextWake() Cycle
 }
 
 // TickerFunc adapts a function to the Ticker interface.
@@ -118,6 +131,7 @@ type Engine struct {
 	// registered ticker implements IdleTicker, which is the precondition
 	// for fast-forwarding the clock.
 	idlers      []IdleTicker
+	wakers      []Waker
 	idleCapable bool
 	idleSkip    bool
 	skipped     uint64
@@ -198,6 +212,9 @@ func (e *Engine) Register(t Ticker) {
 	e.tickers = append(e.tickers, t)
 	if it, ok := t.(IdleTicker); ok {
 		e.idlers = append(e.idlers, it)
+		if w, ok := t.(Waker); ok {
+			e.wakers = append(e.wakers, w)
+		}
 	} else {
 		// One opaque ticker disables fast-forward for the whole engine:
 		// we can never prove a cycle is dead.
@@ -226,8 +243,8 @@ func (e *Engine) RegisterCommitter(c Committer) {
 func (e *Engine) InTickPhase() bool { return e.inTick }
 
 // allIdle reports whether every registered ticker is provably idle, i.e.
-// the next cycle would tick nothing and only the event queue can make
-// progress.
+// the next cycle would tick nothing and only the event queue or a ticker's
+// self-timed wake can make progress.
 func (e *Engine) allIdle() bool {
 	if !e.idleCapable {
 		return false
@@ -326,9 +343,9 @@ func (e *Engine) Step() {
 }
 
 // maybeSkip fast-forwards the clock to one cycle before the earliest
-// upcoming event (or the run's end), provided every ticker is idle so the
-// skipped cycles are provably dead. The next Step then lands exactly on the
-// event's cycle.
+// upcoming event, ticker wake (Waker) or the run's end, provided every
+// ticker is idle so the skipped cycles are provably dead. The next Step
+// then lands exactly on that cycle.
 func (e *Engine) maybeSkip(end Cycle) {
 	if !e.idleSkip || !e.allIdle() {
 		return
@@ -336,6 +353,11 @@ func (e *Engine) maybeSkip(end Cycle) {
 	next := end
 	if len(e.events) > 0 && e.events[0].At < next {
 		next = e.events[0].At
+	}
+	for _, w := range e.wakers {
+		if at := w.NextWake(); at != 0 && at < next {
+			next = at
+		}
 	}
 	if next > e.now+1 {
 		e.skipped += uint64(next - e.now - 1)

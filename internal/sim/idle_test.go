@@ -197,3 +197,85 @@ func TestRunUntilSkipsAcrossIdle(t *testing.T) {
 		t.Fatal("RunUntil did not fast-forward the idle stretch")
 	}
 }
+
+// timer is a sleeping Waker: it works at each of its due cycles and at
+// nothing in between, keeping time lazily — it counts the cycles it slept
+// through on its next tick, as a rate accumulator would.
+type timer struct {
+	due     []Cycle // ascending
+	last    Cycle   // last tick
+	elapsed Cycle   // cycles accounted for, ticked or slept
+	history []Cycle
+}
+
+func (w *timer) Idle() bool { return len(w.due) == 0 || w.due[0] > w.last+1 }
+
+func (w *timer) NextWake() Cycle {
+	if len(w.due) == 0 {
+		return 0
+	}
+	return w.due[0]
+}
+
+func (w *timer) Tick(now Cycle) {
+	w.elapsed += now - w.last
+	w.last = now
+	if len(w.due) > 0 && w.due[0] == now {
+		w.due = w.due[1:]
+		w.history = append(w.history, now)
+	}
+}
+
+func TestWakerSkipsToNextWake(t *testing.T) {
+	run := func(skip bool) (*timer, *Engine) {
+		e := NewEngine(1)
+		e.SetIdleSkip(skip)
+		w := &timer{due: []Cycle{700, 701, 2500, 9000}}
+		e.Register(&idleCounter{})
+		e.Register(w)
+		e.Run(10000)
+		return w, e
+	}
+	on, eOn := run(true)
+	off, _ := run(false)
+	want := []Cycle{700, 701, 2500, 9000}
+	if !reflect.DeepEqual(on.history, want) || !reflect.DeepEqual(off.history, want) {
+		t.Fatalf("timed work at skip=%v noskip=%v, want %v", on.history, off.history, want)
+	}
+	if on.elapsed != off.elapsed || on.elapsed != 10000 {
+		t.Fatalf("lazy clock %d (skip) vs %d (grind), want 10000", on.elapsed, off.elapsed)
+	}
+	// Ticked only at the four wakes and the run's last cycle.
+	if got := eOn.SkippedCycles(); got != 10000-5 {
+		t.Fatalf("skipped %d cycles, want %d", got, 10000-5)
+	}
+}
+
+func TestWakerZeroMeansNoTimedWork(t *testing.T) {
+	e := NewEngine(1)
+	w := &timer{}
+	e.Register(w)
+	e.Run(5000)
+	if e.SkippedCycles() != 4999 {
+		t.Fatalf("skipped %d cycles, want 4999", e.SkippedCycles())
+	}
+}
+
+func TestMaybeSkipAllocs(t *testing.T) {
+	e := NewEngine(1)
+	for i := 0; i < 8; i++ {
+		e.Register(&timer{due: []Cycle{Cycle(1000 * (i + 1))}})
+	}
+	e.Register(&idleCounter{})
+	e.Schedule(50000, func(Cycle) {})
+	allocs := testing.AllocsPerRun(100, func() {
+		e.now = 0
+		e.maybeSkip(100000)
+	})
+	if allocs != 0 {
+		t.Fatalf("maybeSkip with %d wakers allocates %.1f per call, want 0", len(e.wakers), allocs)
+	}
+	if e.now != 999 {
+		t.Fatalf("skipped to %d, want 999 (one before the earliest wake)", e.now)
+	}
+}
